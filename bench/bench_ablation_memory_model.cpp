@@ -26,8 +26,7 @@ void BM_WasaiMemoryModel(benchmark::State& state) {
   Z3Env env;
   MemoryModel mem(env);
   for (std::uint64_t i = 0; i < depth; ++i) {
-    mem.store(1024 + i * 8, SymValue{wasai::wasm::ValType::I64, env.bv(i, 64)},
-              8);
+    mem.store(1024 + i * 8, SymValue{wasai::wasm::ValType::I64, i}, 8);
   }
   for (auto _ : state) {
     std::uint64_t acc = 0;

@@ -87,10 +87,7 @@ class SeExplorer {
   void explore(std::vector<SymValue> params) {
     SeState init(env_);
     init.locals = std::move(params);
-    for (const auto t : fn_.locals) {
-      init.locals.push_back(SymValue{
-          t, env_.bv(0, (t == ValType::I32 || t == ValType::F32) ? 32 : 64)});
-    }
+    for (const auto t : fn_.locals) init.locals.push_back(SymValue{t, 0});
     worklist_.push_back(std::move(init));
 
     while (!worklist_.empty()) {
@@ -167,10 +164,11 @@ class SeExplorer {
         }
         // Fork: queue the else side, continue with the then side.
         SeState other = s;
-        other.constraints.push_back(!env_.truthy(cond.e));
+        const z3::expr c = env_.truthy(cond.expr(env_));
+        other.constraints.push_back(!c);
         enter_else(other);
         if (feasible(other)) worklist_.push_back(std::move(other));
-        s.constraints.push_back(env_.truthy(cond.e));
+        s.constraints.push_back(c);
         enter_then(s);
         return feasible(s);
       }
@@ -197,12 +195,13 @@ class SeExplorer {
         }
         // Fork: queue the taken side, continue fall-through first (this
         // is what unrolls symbolic-bound loops until the budget dies).
+        const z3::expr c = env_.truthy(cond.expr(env_));
         SeState taken = s;
-        taken.constraints.push_back(env_.truthy(cond.e));
+        taken.constraints.push_back(c);
         if (feasible(taken) && unwind(taken, ins.a)) {
           worklist_.push_back(std::move(taken));
         }
-        s.constraints.push_back(!env_.truthy(cond.e));
+        s.constraints.push_back(!c);
         ++s.pc;
         return feasible(s);
       }
@@ -229,8 +228,8 @@ class SeExplorer {
         if (cond.is_concrete()) {
           push(s, cond.concrete().value() != 0 ? v1 : v2);
         } else {
-          push(s, SymValue{v1.type,
-                           z3::ite(env_.truthy(cond.e), v1.e, v2.e)});
+          push(s, SymValue{v1.type, z3::ite(env_.truthy(cond.expr(env_)),
+                                            v1.expr(env_), v2.expr(env_))});
         }
         ++s.pc;
         return true;
@@ -280,20 +279,14 @@ class SeExplorer {
         break;
     }
     switch (info.cls) {
-      case wasm::OpClass::Const: {
-        const unsigned bits =
-            (info.result == ValType::I32 || info.result == ValType::F32)
-                ? 32
-                : 64;
-        const std::uint64_t v =
-            bits == 32 ? static_cast<std::uint32_t>(ins.imm) : ins.imm;
-        push(s, SymValue{info.result, env_.bv(v, bits)});
+      case wasm::OpClass::Const:
+        push(s, SymValue{info.result, ins.imm});
         ++s.pc;
         return true;
-      }
       case wasm::OpClass::Load: {
         const SymValue addr = pop(s);
-        push(s, s.mem.load(addr.e + env_.bv(ins.b, 32), info.access_bytes,
+        push(s, s.mem.load(addr.expr(env_) + env_.bv(ins.b, 32),
+                           info.access_bytes,
                            info.sign_extend, info.result));
         ++s.pc;
         return true;
@@ -301,7 +294,8 @@ class SeExplorer {
       case wasm::OpClass::Store: {
         const SymValue value = pop(s);
         const SymValue addr = pop(s);
-        s.mem.store(addr.e + env_.bv(ins.b, 32), value.e, info.access_bytes);
+        s.mem.store(addr.expr(env_) + env_.bv(ins.b, 32), value.expr(env_),
+                    info.access_bytes);
         ++s.pc;
         return true;
       }
@@ -315,11 +309,11 @@ class SeExplorer {
         const SymValue rhs = pop(s);
         const SymValue lhs = pop(s);
         if (ins.op == Opcode::I64Eq || ins.op == Opcode::I64Ne) {
-          const bool mentions_to = contains_var(lhs.e, "se_to") ||
-                                   contains_var(rhs.e, "se_to");
-          const bool mentions_self = contains_var(lhs.e, "se_self") ||
-                                     contains_var(rhs.e, "se_self");
-          if (mentions_to && mentions_self) guard_found = true;
+          const auto mentions = [&](const std::string& var) {
+            return (!lhs.is_concrete() && contains_var(lhs.expr(env_), var)) ||
+                   (!rhs.is_concrete() && contains_var(rhs.expr(env_), var));
+          };
+          if (mentions("se_to") && mentions("se_self")) guard_found = true;
         }
         push(s, symbolic::sym_binary(env_, ins.op, lhs, rhs));
         ++s.pc;
@@ -350,12 +344,11 @@ class SeExplorer {
     }
 
     const std::string& name = module_.function_import(target).field;
-    std::vector<SymValue> args(ft.params.size(),
-                               SymValue{ValType::I32, env_.bv(0, 32)});
+    std::vector<SymValue> args(ft.params.size(), SymValue{ValType::I32, 0});
     for (std::size_t k = ft.params.size(); k-- > 0;) args[k] = pop(s);
 
     if (name == "eosio_assert") {
-      s.constraints.push_back(env_.truthy(args[0].e));
+      s.constraints.push_back(env_.truthy(args[0].expr(env_)));
       ++s.pc;
       return feasible(s);
     }
@@ -411,9 +404,7 @@ class SeExplorer {
   }
 
   SymValue fresh_of(ValType t, const std::string& prefix) {
-    return SymValue{
-        t, env_.fresh(prefix,
-                      (t == ValType::I32 || t == ValType::F32) ? 32 : 64)};
+    return SymValue{t, env_.fresh(prefix, symbolic::width_of(t))};
   }
 
   static std::uint8_t arity(const Instr& ins) {

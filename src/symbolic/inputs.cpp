@@ -23,8 +23,7 @@ InferredInputs infer_inputs(Z3Env& env, MemoryModel& mem,
 
   InferredInputs out;
   // μ_l[0]: the contract's own name (`this` in SDK-generated code).
-  out.params.push_back(SymValue{ValType::I64,
-                                env.bv(concrete_args[0].bits, 64)});
+  out.params.push_back(SymValue{ValType::I64, concrete_args[0].bits});
 
   for (std::uint32_t i = 0; i < def.params.size(); ++i) {
     const std::string base = "p" + std::to_string(i);
@@ -57,8 +56,7 @@ InferredInputs infer_inputs(Z3Env& env, MemoryModel& mem,
         // The Local slot holds the concrete pointer; the pointed-to 16
         // bytes become two symbolic 64-bit items (Table 2).
         const std::uint64_t ptr = captured.u32();
-        out.params.push_back(
-            SymValue{ValType::I32, env.bv(captured.u32(), 32)});
+        out.params.push_back(SymValue{ValType::I32, ptr});
         z3::expr amount = env.var(base + "_amount", 64);
         z3::expr symbol = env.var(base + "_symbol", 64);
         mem.bind(ptr, amount, 8);
@@ -74,8 +72,7 @@ InferredInputs infer_inputs(Z3Env& env, MemoryModel& mem,
         // variables are created for the *current* seed's length; length
         // itself mutates through the random mutator, not the solver.
         const std::uint64_t ptr = captured.u32();
-        out.params.push_back(
-            SymValue{ValType::I32, env.bv(captured.u32(), 32)});
+        out.params.push_back(SymValue{ValType::I32, ptr});
         z3::expr len = env.var(base + "_len", 8);
         mem.bind(ptr, len, 1);
         out.bindings.push_back(

@@ -4,51 +4,58 @@ namespace wasai::symbolic {
 
 void MemoryModel::store(std::uint64_t addr, const SymValue& value,
                         unsigned size_bytes) {
-  // Fast path: concrete values split into byte constants directly (the
+  // Concrete values split into concrete bytes without touching Z3 (the
   // common case when replaying deserialized data).
   if (const auto concrete = value.concrete()) {
     for (unsigned i = 0; i < size_bytes; ++i) {
-      bytes_.insert_or_assign(addr + i,
-                              env_->bv((*concrete >> (i * 8)) & 0xff, 8));
+      bytes_.insert_or_assign(
+          addr + i,
+          SymByte{static_cast<std::uint8_t>(*concrete >> (i * 8)), {}});
     }
     return;
   }
   // Widen the expression so byte extraction is uniform.
-  z3::expr e = value.e;
+  z3::expr e = value.expr(*env_);
   if (e.get_sort().bv_size() < size_bytes * 8) {
     e = z3::zext(e, size_bytes * 8 - e.get_sort().bv_size());
   }
   for (unsigned i = 0; i < size_bytes; ++i) {
-    const z3::expr byte = e.extract(i * 8 + 7, i * 8);
-    bytes_.insert_or_assign(addr + i, byte.simplify());
+    const z3::expr byte = e.extract(i * 8 + 7, i * 8).simplify();
+    SymByte b;
+    if (byte.is_numeral()) {
+      b.value = static_cast<std::uint8_t>(byte.get_numeral_uint64());
+    } else {
+      b.term = byte;
+    }
+    bytes_.insert_or_assign(addr + i, std::move(b));
   }
 }
 
 void MemoryModel::bind(std::uint64_t addr, const z3::expr& value,
                        unsigned size_bytes) {
   for (unsigned i = 0; i < size_bytes; ++i) {
-    bytes_.insert_or_assign(addr + i, value.extract(i * 8 + 7, i * 8));
+    bytes_.insert_or_assign(addr + i,
+                            SymByte{0, value.extract(i * 8 + 7, i * 8)});
   }
 }
 
 z3::expr MemoryModel::byte_at(std::uint64_t addr) {
   const auto it = bytes_.find(addr);
-  if (it != bytes_.end()) return it->second;
+  if (it != bytes_.end()) {
+    const SymByte& b = it->second;
+    return b.term.has_value() ? *b.term : env_->bv(b.value, 8);
+  }
   // Symbolic load object ⟨a, 1⟩: unknown memory content at a concrete
   // address. Recorded so repeated loads observe a consistent value.
   ++unknown_loads_;
-  z3::expr fresh =
-      env_->var("mem_" + std::to_string(addr), 8);
-  bytes_.emplace(addr, fresh);
+  z3::expr fresh = env_->var("mem_" + std::to_string(addr), 8);
+  bytes_.emplace(addr, SymByte{0, fresh});
   return fresh;
 }
 
 SymValue MemoryModel::load(std::uint64_t addr, unsigned size_bytes,
                            bool sign_extend, wasm::ValType result_type) {
-  const unsigned target_bits =
-      (result_type == wasm::ValType::I32 || result_type == wasm::ValType::F32)
-          ? 32
-          : 64;
+  const unsigned target_bits = width_of(result_type);
   const unsigned have = size_bytes * 8;
 
   // Fast path: all bytes present and concrete.
@@ -56,10 +63,10 @@ SymValue MemoryModel::load(std::uint64_t addr, unsigned size_bytes,
   std::uint64_t raw = 0;
   for (unsigned i = 0; i < size_bytes && all_concrete; ++i) {
     const auto it = bytes_.find(addr + i);
-    if (it == bytes_.end() || !it->second.is_numeral()) {
+    if (it == bytes_.end() || it->second.term.has_value()) {
       all_concrete = false;
     } else {
-      raw |= it->second.get_numeral_uint64() << (i * 8);
+      raw |= std::uint64_t{it->second.value} << (i * 8);
     }
   }
   if (all_concrete) {
@@ -68,8 +75,7 @@ SymValue MemoryModel::load(std::uint64_t addr, unsigned size_bytes,
           static_cast<std::int64_t>(raw << (64 - have)) >>
           (64 - have));
     }
-    if (target_bits == 32) raw = static_cast<std::uint32_t>(raw);
-    return SymValue{result_type, env_->bv(raw, target_bits)};
+    return SymValue{result_type, raw};
   }
 
   z3::expr value = byte_at(addr);

@@ -2,7 +2,8 @@
 // CONCRETE addresses observed in the runtime traces. Loads of bytes never
 // written return "symbolic load objects" ⟨a, s⟩ — fresh variables standing
 // for the unknown memory content — which flow into path constraints and are
-// resolved by the SMT solver.
+// resolved by the SMT solver. Concrete bytes are stored as bytes; only
+// bytes that depend on a symbolic input or an unknown load carry a term.
 #pragma once
 
 #include <unordered_map>
@@ -10,6 +11,12 @@
 #include "symbolic/symvalue.hpp"
 
 namespace wasai::symbolic {
+
+/// One tracked memory byte: its concrete value, or an 8-bit term.
+struct SymByte {
+  std::uint8_t value = 0;
+  std::optional<z3::expr> term;
+};
 
 class MemoryModel {
  public:
@@ -31,10 +38,10 @@ class MemoryModel {
 
   [[nodiscard]] std::size_t bytes_tracked() const { return bytes_.size(); }
 
-  /// Every byte the model has an expression for (stored, bound, or created
-  /// by an unknown load). The differential oracle concretizes these and
-  /// compares them against the concrete machine's final memory image.
-  [[nodiscard]] const std::unordered_map<std::uint64_t, z3::expr>&
+  /// Every byte the model knows (stored, bound, or created by an unknown
+  /// load). The differential oracle checks these against the concrete
+  /// machine's final memory image.
+  [[nodiscard]] const std::unordered_map<std::uint64_t, SymByte>&
   tracked_bytes() const {
     return bytes_;
   }
@@ -46,7 +53,7 @@ class MemoryModel {
   z3::expr byte_at(std::uint64_t addr);
 
   Z3Env* env_;
-  std::unordered_map<std::uint64_t, z3::expr> bytes_;
+  std::unordered_map<std::uint64_t, SymByte> bytes_;
   std::size_t unknown_loads_ = 0;
 };
 

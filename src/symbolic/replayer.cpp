@@ -26,7 +26,7 @@ struct Ctrl {
   std::uint8_t arity;
 };
 
-/// vector<SymValue>::resize requires default construction (z3::expr has
+/// vector<SymValue>::resize requires default construction (SymValue has
 /// none); shrinking via erase avoids that.
 void shrink_to(std::vector<SymValue>& v, std::size_t n) {
   v.erase(v.begin() + static_cast<std::ptrdiff_t>(n), v.end());
@@ -73,12 +73,7 @@ class ReplayMachine {
       }
     }
     for (const auto& g : module.globals) {
-      globals_.push_back(SymValue{
-          g.type.type,
-          env_.bv(g.init_bits,
-                  (g.type.type == ValType::I32 || g.type.type == ValType::F32)
-                      ? 32
-                      : 64)});
+      globals_.push_back(SymValue{g.type.type, g.init_bits});
     }
     InferredInputs inputs = infer_inputs(env_, mem_, def, seed_params,
                                          call_site.concrete_args);
@@ -172,10 +167,7 @@ class ReplayMachine {
       throw ReplayError("argument count mismatch entering function " +
                         std::to_string(func_index));
     }
-    for (const auto t : fn.locals) {
-      frame.locals.push_back(SymValue{
-          t, env_.bv(0, (t == ValType::I32 || t == ValType::F32) ? 32 : 64)});
-    }
+    for (const auto t : fn.locals) frame.locals.push_back(SymValue{t, 0});
     frames_.push_back(std::move(frame));
   }
 
@@ -228,10 +220,10 @@ class ReplayMachine {
       case Opcode::BrTable: {
         const SymValue idx = pop();
         const std::uint32_t v = ev.val(0).u32();
-        if (has_variables(idx.e)) {
+        if (depends_on_input(idx)) {
           PathStep step;
           step.site = ev.site;
-          step.hold = (idx.e == env_.bv(v, idx.bits()));
+          step.hold = (idx.expr(env_) == env_.bv(v, idx.bits()));
           step.can_flip = false;
           result_.path.push_back(std::move(step));
         }
@@ -253,8 +245,9 @@ class ReplayMachine {
         if (cond.is_concrete()) {
           push(cond.concrete().value() != 0 ? v1 : v2);
         } else {
-          push(SymValue{v1.type,
-                        z3::ite(env_.truthy(cond.e), v1.e, v2.e).simplify()});
+          push(SymValue{v1.type, z3::ite(env_.truthy(cond.expr(env_)),
+                                         v1.expr(env_), v2.expr(env_))
+                                     .simplify()});
         }
         return;
       }
@@ -275,26 +268,19 @@ class ReplayMachine {
         return;
       case Opcode::MemorySize:
         // Table 3: balance the stack with the default EOSIO memory size.
-        push(SymValue{ValType::I32, env_.bv(4096, 32)});
+        push(SymValue{ValType::I32, 4096});
         return;
       case Opcode::MemoryGrow:
         pop();
-        push(SymValue{ValType::I32, env_.bv(4096, 32)});
+        push(SymValue{ValType::I32, 4096});
         return;
       default:
         break;
     }
     switch (info.cls) {
-      case wasm::OpClass::Const: {
-        const unsigned bits =
-            (info.result == ValType::I32 || info.result == ValType::F32)
-                ? 32
-                : 64;
-        const std::uint64_t v =
-            bits == 32 ? static_cast<std::uint32_t>(ins.imm) : ins.imm;
-        push(SymValue{info.result, env_.bv(v, bits)});
+      case wasm::OpClass::Const:
+        push(SymValue{info.result, ins.imm});
         return;
-      }
       case wasm::OpClass::Load: {
         pop();  // symbolic address expression (concrete one is in the trace)
         const std::uint64_t addr =
@@ -335,8 +321,7 @@ class ReplayMachine {
   void begin_call(std::uint32_t site, std::uint32_t target) {
     const FuncType& ft = module_.function_type(target);
     std::vector<SymValue> args;
-    args.resize(ft.params.size(),
-                SymValue{ValType::I32, env_.bv(0, 32)});  // placeholder
+    args.resize(ft.params.size(), SymValue{ValType::I32, 0});  // placeholder
     for (std::size_t k = ft.params.size(); k-- > 0;) args[k] = pop();
 
     PendingCall pc;
@@ -367,7 +352,7 @@ class ReplayMachine {
       api.completed = true;
       if (ev.nvals > 0) {
         api.ret = ev.val(0);
-        push(lift(env_, ev.val(0)));  // returns from library APIs (§3.4.3)
+        push(lift(ev.val(0)));  // returns from library APIs (§3.4.3)
       }
       if (api.name == "eosio_assert") {
         // The assertion passed on this trace: its condition is a path
@@ -379,9 +364,8 @@ class ReplayMachine {
   }
 
   void add_assert_step(const ApiCall& api, bool passed) {
-    if (api.args.empty()) return;
-    const z3::expr& cond = api.args[0].e;
-    if (!has_variables(cond)) return;
+    if (api.args.empty() || !depends_on_input(api.args[0])) return;
+    const z3::expr cond = api.args[0].expr(env_);
     PathStep step;
     step.site = api.site;
     step.is_assert = true;
@@ -398,11 +382,11 @@ class ReplayMachine {
   }
 
   void record_branch(std::uint32_t site, const SymValue& cond, bool taken) {
-    if (!has_variables(cond.e)) return;
+    if (!depends_on_input(cond)) return;
     PathStep step;
     step.site = site;
     step.taken = taken;
-    const z3::expr t = env_.truthy(cond.e);
+    const z3::expr t = env_.truthy(cond.expr(env_));
     step.hold = taken ? t : !t;
     step.flip = taken ? !t : t;
     step.can_flip = true;
@@ -459,6 +443,11 @@ class ReplayMachine {
   }
 
   // ---- helpers --------------------------------------------------------
+
+  /// Only conditions that depend on symbolic input become path steps.
+  bool depends_on_input(const SymValue& v) {
+    return !v.is_concrete() && has_variables(v.expr(env_));
+  }
 
   const Instr& instr_at(std::uint32_t site) {
     const auto& info = sites_.at(site);

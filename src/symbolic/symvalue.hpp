@@ -1,7 +1,10 @@
-// Symbolic values: Wasm stack slots represented as Z3 bitvectors. Floats
-// are modelled as bit patterns; symbolic float arithmetic falls back to
-// fresh variables (the corpus never branches on symbolic float math, and
-// the fuzzer tolerates unconstrained seeds).
+// Symbolic values: Wasm stack slots that are either concrete bit patterns
+// or Z3 bitvector terms. A value carries a term only while it depends on a
+// symbolic input or an unknown-memory load; everything else stays a plain
+// integer, so replaying concrete code never touches Z3. Floats are modelled
+// as bit patterns; symbolic float arithmetic falls back to fresh variables
+// (the corpus never branches on symbolic float math, and the fuzzer
+// tolerates unconstrained seeds).
 #pragma once
 
 #include <z3++.h>
@@ -49,29 +52,55 @@ class Z3Env {
   std::uint64_t fresh_counter_ = 0;
 };
 
+/// Bit width of a Wasm value type (floats are modelled as bit patterns).
+constexpr unsigned width_of(wasm::ValType t) {
+  return (t == wasm::ValType::I32 || t == wasm::ValType::F32) ? 32 : 64;
+}
+
 /// One Wasm stack slot under symbolic execution.
-struct SymValue {
+class SymValue {
+ public:
+  /// A concrete value: `value` masked to the type's width.
+  SymValue(wasm::ValType t, std::uint64_t value)
+      : type(t),
+        value_(width_of(t) == 32 ? static_cast<std::uint32_t>(value)
+                                 : value) {}
+
+  /// The value of `term`, whose width must match the type. A numeral term
+  /// yields a concrete value, so no term outlives its last variable.
+  SymValue(wasm::ValType t, const z3::expr& term) : type(t) {
+    if (term.is_numeral()) {
+      value_ = term.get_numeral_uint64();
+    } else {
+      term_ = term;
+    }
+  }
+
   wasm::ValType type;
-  z3::expr e;
 
-  [[nodiscard]] unsigned bits() const { return e.get_sort().bv_size(); }
+  [[nodiscard]] unsigned bits() const { return width_of(type); }
 
-  [[nodiscard]] bool is_concrete() const { return e.is_numeral(); }
+  [[nodiscard]] bool is_concrete() const { return !term_.has_value(); }
 
   /// Numeric value when concrete.
   [[nodiscard]] std::optional<std::uint64_t> concrete() const {
-    if (!e.is_numeral()) return std::nullopt;
-    return e.get_numeral_uint64();
+    if (term_.has_value()) return std::nullopt;
+    return value_;
   }
+
+  /// The value as a Z3 bitvector: its term, or a numeral of the concrete
+  /// bits.
+  [[nodiscard]] z3::expr expr(Z3Env& env) const {
+    return term_.has_value() ? *term_ : env.bv(value_, bits());
+  }
+
+ private:
+  std::uint64_t value_ = 0;
+  std::optional<z3::expr> term_;
 };
 
 /// Lift a concrete runtime value into a SymValue.
-inline SymValue lift(Z3Env& env, const vm::Value& v) {
-  const unsigned bits =
-      (v.type == wasm::ValType::I32 || v.type == wasm::ValType::F32) ? 32
-                                                                     : 64;
-  return SymValue{v.type, env.bv(v.bits, bits)};
-}
+inline SymValue lift(const vm::Value& v) { return SymValue{v.type, v.bits}; }
 
 /// True when the expression mentions any uninterpreted constant (i.e. it
 /// depends on symbolic input or unknown memory).

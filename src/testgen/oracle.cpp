@@ -262,10 +262,11 @@ struct PendingCompare {
 /// the action function's entry until it returns.
 class DiffObserver : public symbolic::ReplayObserver {
  public:
-  DiffObserver(const Recorder& recorder, std::size_t start,
-               std::size_t stack_offset, ActionCheck& check,
+  DiffObserver(symbolic::Z3Env& env, const Recorder& recorder,
+               std::size_t start, std::size_t stack_offset, ActionCheck& check,
                std::vector<Divergence>& divergences)
-      : recorder_(recorder),
+      : env_(&env),
+        recorder_(recorder),
         cursor_(start),
         stack_offset_(stack_offset),
         check_(&check),
@@ -325,8 +326,8 @@ class DiffObserver : public symbolic::ReplayObserver {
 
   void on_finish(const symbolic::MemoryModel& memory,
                  std::span<const SymValue> globals) override {
-    for (const auto& [addr, e] : memory.tracked_bytes()) {
-      final_bytes_.emplace_back(addr, e);
+    for (const auto& [addr, b] : memory.tracked_bytes()) {
+      final_bytes_.emplace_back(addr, b);
     }
     final_globals_.assign(globals.begin(), globals.end());
   }
@@ -334,7 +335,7 @@ class DiffObserver : public symbolic::ReplayObserver {
   /// Deferred symbolic comparisons plus the final-state snapshot; resolved
   /// by the oracle once bindings are known.
   std::vector<PendingCompare> pending;
-  std::vector<std::pair<std::uint64_t, z3::expr>> final_bytes_;
+  std::vector<std::pair<std::uint64_t, symbolic::SymByte>> final_bytes_;
   std::vector<SymValue> final_globals_;
 
   void compare(const SymValue& sym, const Value& conc,
@@ -349,7 +350,7 @@ class DiffObserver : public symbolic::ReplayObserver {
       }
       return;
     }
-    pending.push_back(PendingCompare{sym.e, expected, bits, where});
+    pending.push_back(PendingCompare{sym.expr(*env_), expected, bits, where});
   }
 
   void diverge(const std::string& what) {
@@ -362,6 +363,7 @@ class DiffObserver : public symbolic::ReplayObserver {
  private:
   static constexpr std::size_t kMaxReported = 32;
 
+  symbolic::Z3Env* env_;
   const Recorder& recorder_;
   std::size_t cursor_;
   std::size_t stack_offset_;
@@ -465,7 +467,7 @@ void check_action(const std::shared_ptr<const wasm::Module>& original,
   const std::size_t stack_offset = recorder.records[start].stack_len;
 
   symbolic::Z3Env env;
-  DiffObserver observer(recorder, start, stack_offset, check,
+  DiffObserver observer(env, recorder, start, stack_offset, check,
                         out.divergences);
   symbolic::ReplayResult replayed;
   try {
@@ -509,9 +511,10 @@ void check_action(const std::shared_ptr<const wasm::Module>& original,
 
   // Final-state comparison: every byte the memory model tracked must match
   // the interpreter's final memory image, and globals must agree.
-  for (const auto& [addr, e] : observer.final_bytes_) {
+  for (const auto& [addr, b] : observer.final_bytes_) {
     ++check.values_compared;
-    const auto v = conc.eval(e);
+    const auto v = b.term.has_value() ? conc.eval(*b.term)
+                                      : std::optional<std::uint64_t>(b.value);
     const std::uint8_t actual = inst_a.memory_at(addr, 1)[0];
     if (!v.has_value()) {
       ++check.unknown_values;

@@ -129,8 +129,8 @@ TEST(Eosafe, DispatcherHeuristicMatchesStandardStyle) {
 TEST(Eosafe, DispatcherHeuristicSeesCodeGuard) {
   Rng rng(21);
   const auto s = corpus::make_fake_eos_sample(rng, false);
-  const auto* transfer =
-      find_transfer(match_dispatcher(wasm::decode(s.wasm)));
+  const auto entries = match_dispatcher(wasm::decode(s.wasm));
+  const auto* transfer = find_transfer(entries);
   ASSERT_NE(transfer, nullptr);
   EXPECT_TRUE(transfer->has_code_guard);
 }

@@ -1,6 +1,7 @@
 // Replayer edge cases: loops over symbolic data, helper-function call
 // chains, symbolic selects, br_table constraints, Table-3 memory.size
-// semantics, float fallbacks and corrupt-trace robustness.
+// semantics (including a zero divisor only the replay sees), float
+// fallbacks and corrupt-trace robustness.
 #include <gtest/gtest.h>
 
 #include "abi/serializer.hpp"
@@ -266,6 +267,65 @@ TEST(ReplayEdge, MemorySizeBalancedPerTable3) {
   const auto adaptive = solve_flips(fx.env_, r, fx.last_params_);
   ASSERT_EQ(adaptive.seeds.size(), 1u);
   EXPECT_EQ(std::get<abi::Asset>(adaptive.seeds[0][2]).amount, 77);
+}
+
+TEST(ReplayEdge, ZeroDivisorFromMemorySizeFoldsToSmtValue) {
+  // The divisor is memory.size - 4096. At runtime the contract has 4 pages,
+  // so it is non-zero; replay models memory.size as 4096 (Table 3), so it
+  // divides by zero. The fold must take the SMT-LIB value (bvudiv x 0 =
+  // all-ones, bvsrem x 0 = x) rather than trap, or the fuzzer would drop
+  // the replay and the flip that follows it.
+  struct Variant {
+    const char* name;
+    std::vector<Instr> quotient;  // leaves an i64 on the stack
+    std::uint64_t replayed;       // the SMT-LIB value
+  };
+  const Variant variants[] = {
+      {"i32.div_u",
+       {wasm::i32_const(7), Instr(Opcode::MemorySize), wasm::i32_const(4096),
+        Instr(Opcode::I32Sub), Instr(Opcode::I32DivU),
+        Instr(Opcode::I64ExtendI32U)},
+       0xffffffffull},  // runtime: 7 / 0xfffff004 = 0
+      {"i64.rem_s",
+       {wasm::i64_const(10000), Instr(Opcode::MemorySize),
+        Instr(Opcode::I64ExtendI32U), wasm::i64_const(4096),
+        Instr(Opcode::I64Sub), Instr(Opcode::I64RemS)},
+       10000},  // runtime: 10000 rem_s -4092 = 1816
+  };
+  for (const auto& v : variants) {
+    ContractBuilder b;
+    const auto env = b.env();
+    std::vector<Instr> body = v.quotient;
+    const std::vector<Instr> tail = {
+        wasm::call(env.printi),
+        wasm::local_get(3),
+        wasm::mem_load(Opcode::I64Load),
+        wasm::i64_const(77),
+        Instr(Opcode::I64Eq),
+        wasm::if_(),
+        wasm::call(env.tapos_block_num),
+        Instr(Opcode::Drop),
+        Instr(Opcode::End),
+        Instr(Opcode::End),
+    };
+    body.insert(body.end(), tail.begin(), tail.end());
+    b.add_action(abi::transfer_action_def(), {}, std::move(body),
+                 eosponser_opts());
+    EdgeFixture fx(std::move(b));
+    const auto r = fx.run_and_replay(seed(5, "m"));
+    EXPECT_TRUE(r.completed_scope) << v.name;
+    const ApiCall* printed = nullptr;
+    for (const auto& call : r.api_calls) {
+      if (call.name == "printi") printed = &call;
+    }
+    ASSERT_NE(printed, nullptr) << v.name;
+    ASSERT_EQ(printed->args.size(), 1u) << v.name;
+    EXPECT_EQ(printed->args[0].concrete(), v.replayed) << v.name;
+    const auto adaptive = solve_flips(fx.env_, r, fx.last_params_);
+    ASSERT_EQ(adaptive.seeds.size(), 1u) << v.name;
+    EXPECT_EQ(std::get<abi::Asset>(adaptive.seeds[0][2]).amount, 77)
+        << v.name;
+  }
 }
 
 TEST(ReplayEdge, FloatBranchFallsBackGracefully) {

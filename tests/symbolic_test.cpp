@@ -38,15 +38,15 @@ TEST(MemoryModel, StoreLoadRoundTripsSymbolicValue) {
   const SymValue loaded = mem.load(100, 8, false, ValType::I64);
   // (loaded == x) must be valid.
   z3::solver s(env.ctx());
-  s.add(loaded.e != v);
+  s.add(loaded.expr(env) != v);
   EXPECT_EQ(s.check(), z3::unsat);
 }
 
 TEST(MemoryModel, OverlappingStoreWins) {
   Z3Env env;
   MemoryModel mem(env);
-  mem.store(0, SymValue{ValType::I64, env.bv(0x1111111111111111ull, 64)}, 8);
-  mem.store(2, SymValue{ValType::I32, env.bv(0xffffffffu, 32)}, 4);
+  mem.store(0, SymValue{ValType::I64, 0x1111111111111111ull}, 8);
+  mem.store(2, SymValue{ValType::I32, 0xffffffffu}, 4);
   const SymValue loaded = mem.load(0, 8, false, ValType::I64);
   ASSERT_TRUE(loaded.is_concrete());
   EXPECT_EQ(loaded.concrete().value(), 0x1111ffffffff1111ull);
@@ -59,14 +59,14 @@ TEST(MemoryModel, UnknownLoadCreatesStableSymbolicLoadObject) {
   const SymValue b = mem.load(500, 4, false, ValType::I32);
   EXPECT_EQ(mem.unknown_loads(), 4u);  // four fresh bytes, reused by b
   z3::solver s(env.ctx());
-  s.add(a.e != b.e);
+  s.add(a.expr(env) != b.expr(env));
   EXPECT_EQ(s.check(), z3::unsat);  // repeated loads agree
 }
 
 TEST(MemoryModel, NarrowLoadSignExtends) {
   Z3Env env;
   MemoryModel mem(env);
-  mem.store(10, SymValue{ValType::I32, env.bv(0x80, 32)}, 1);
+  mem.store(10, SymValue{ValType::I32, 0x80}, 1);
   const SymValue s_ext = mem.load(10, 1, true, ValType::I32);
   const SymValue z_ext = mem.load(10, 1, false, ValType::I32);
   EXPECT_EQ(s_ext.concrete().value(), 0xffffff80u);
@@ -80,7 +80,7 @@ TEST(MemoryModel, BindSeedsParameterBytes) {
   mem.bind(1040, amount, 8);
   const SymValue lo = mem.load(1040, 4, false, ValType::I32);
   z3::solver s(env.ctx());
-  s.add(lo.e != amount.extract(31, 0));
+  s.add(lo.expr(env) != amount.extract(31, 0));
   EXPECT_EQ(s.check(), z3::unsat);
 }
 
@@ -88,13 +88,13 @@ TEST(MemoryModel, BindSeedsParameterBytes) {
 
 TEST(SymOps, ConcreteFolding) {
   Z3Env env;
-  const SymValue a{ValType::I64, env.bv(30, 64)};
-  const SymValue b{ValType::I64, env.bv(12, 64)};
+  const SymValue a{ValType::I64, 30};
+  const SymValue b{ValType::I64, 12};
   EXPECT_EQ(sym_binary(env, Opcode::I64Add, a, b).concrete().value(), 42u);
   EXPECT_EQ(sym_binary(env, Opcode::I64GtS, a, b).concrete().value(), 1u);
   EXPECT_EQ(sym_unary(env, Opcode::I64Eqz, a).concrete().value(), 0u);
   EXPECT_EQ(sym_unary(env, Opcode::I32WrapI64,
-                      SymValue{ValType::I64, env.bv(0xaabbccdd11223344ull, 64)})
+                      SymValue{ValType::I64, 0xaabbccdd11223344ull})
                 .concrete()
                 .value(),
             0x11223344u);
@@ -105,31 +105,116 @@ TEST(SymOps, SymbolicComparisonSolvable) {
   z3::expr x = env.var("x", 64);
   const SymValue cmp = sym_binary(env, Opcode::I64Eq,
                                   SymValue{ValType::I64, x},
-                                  SymValue{ValType::I64, env.bv(77, 64)});
+                                  SymValue{ValType::I64, 77});
   z3::solver s(env.ctx());
-  s.add(env.truthy(cmp.e));
+  s.add(env.truthy(cmp.expr(env)));
   ASSERT_EQ(s.check(), z3::sat);
   EXPECT_EQ(s.get_model().eval(x, true).get_numeral_uint64(), 77u);
 }
 
-TEST(SymOps, ShiftsAndRotatesMatchInterpreter) {
+// Concrete folds must equal Z3's simplification of the term the symbolic
+// path builds for the same operands, so folding changes no constraint. That
+// includes the inputs where Wasm traps but SMT-LIB defines a value: zero
+// divisors, INT_MIN / -1, and shift counts of at least the width.
+TEST(SymOps, IntegerFoldsMatchZ3Simplify) {
   Z3Env env;
   util::Rng rng(5);
-  const Opcode ops[] = {Opcode::I64Shl,  Opcode::I64ShrS, Opcode::I64ShrU,
-                        Opcode::I64Rotl, Opcode::I64Rotr, Opcode::I64Mul,
-                        Opcode::I64Sub,  Opcode::I64DivU, Opcode::I64RemS};
-  for (int i = 0; i < 200; ++i) {
-    const Opcode op = ops[rng.below(std::size(ops))];
-    const std::uint64_t x = rng.next();
-    std::uint64_t y = rng.next();
-    if ((op == Opcode::I64DivU || op == Opcode::I64RemS) && y == 0) y = 3;
-    const auto expected =
-        vm::eval_binary_op(op, vm::Value::i64(x), vm::Value::i64(y));
-    const auto got = sym_binary(env, op, SymValue{ValType::I64, env.bv(x, 64)},
-                                SymValue{ValType::I64, env.bv(y, 64)});
-    ASSERT_TRUE(got.is_concrete()) << wasm::op_info(op).name;
-    ASSERT_EQ(got.concrete().value(), expected.bits)
-        << wasm::op_info(op).name << " x=" << x << " y=" << y;
+  const Opcode binary_ops[][2] = {
+      {Opcode::I32Eq, Opcode::I64Eq},       {Opcode::I32Ne, Opcode::I64Ne},
+      {Opcode::I32LtS, Opcode::I64LtS},     {Opcode::I32LtU, Opcode::I64LtU},
+      {Opcode::I32GtS, Opcode::I64GtS},     {Opcode::I32GtU, Opcode::I64GtU},
+      {Opcode::I32LeS, Opcode::I64LeS},     {Opcode::I32LeU, Opcode::I64LeU},
+      {Opcode::I32GeS, Opcode::I64GeS},     {Opcode::I32GeU, Opcode::I64GeU},
+      {Opcode::I32Add, Opcode::I64Add},     {Opcode::I32Sub, Opcode::I64Sub},
+      {Opcode::I32Mul, Opcode::I64Mul},     {Opcode::I32DivS, Opcode::I64DivS},
+      {Opcode::I32DivU, Opcode::I64DivU},   {Opcode::I32RemS, Opcode::I64RemS},
+      {Opcode::I32RemU, Opcode::I64RemU},   {Opcode::I32And, Opcode::I64And},
+      {Opcode::I32Or, Opcode::I64Or},       {Opcode::I32Xor, Opcode::I64Xor},
+      {Opcode::I32Shl, Opcode::I64Shl},     {Opcode::I32ShrS, Opcode::I64ShrS},
+      {Opcode::I32ShrU, Opcode::I64ShrU},   {Opcode::I32Rotl, Opcode::I64Rotl},
+      {Opcode::I32Rotr, Opcode::I64Rotr}};
+  // Unary ops with an operand-to-result term (clz/ctz/popcnt have none:
+  // their symbolic path yields a fresh variable; see below).
+  const Opcode unary_ops[] = {
+      Opcode::I32Eqz,        Opcode::I64Eqz,        Opcode::I32WrapI64,
+      Opcode::I64ExtendI32S, Opcode::I64ExtendI32U, Opcode::I32ReinterpretF32,
+      Opcode::I64ReinterpretF64};
+  const Opcode counting_ops[] = {Opcode::I32Clz,    Opcode::I32Ctz,
+                                 Opcode::I32Popcnt, Opcode::I64Clz,
+                                 Opcode::I64Ctz,    Opcode::I64Popcnt};
+
+  for (const unsigned bits : {32u, 64u}) {
+    const std::uint64_t mask =
+        bits == 32 ? 0xffffffffull : ~std::uint64_t{0};
+    const std::uint64_t int_min = std::uint64_t{1} << (bits - 1);
+    std::vector<std::uint64_t> values = {
+        0,           1,           2,        3,         7,
+        mask,        mask - 1,    int_min,  int_min - 1, int_min + 1,
+        bits - 1,    bits,        bits + 1, 2 * bits,  0x80000000ull};
+    for (int i = 0; i < 6; ++i) values.push_back(rng.next() & mask);
+    for (auto& v : values) v &= mask;
+
+    // Reference: substitute the operands into the term built from
+    // variables, then simplify.
+    const auto reference = [&](const SymValue& term,
+                               const std::vector<z3::expr>& vars,
+                               const std::vector<std::uint64_t>& vals) {
+      z3::expr_vector src(env.ctx());
+      z3::expr_vector dst(env.ctx());
+      for (std::size_t k = 0; k < vars.size(); ++k) {
+        src.push_back(vars[k]);
+        dst.push_back(env.bv(vals[k], vars[k].get_sort().bv_size()));
+      }
+      const z3::expr r = term.expr(env).substitute(src, dst).simplify();
+      EXPECT_TRUE(r.is_numeral()) << r;
+      return r.is_numeral() ? r.get_numeral_uint64() : ~std::uint64_t{0};
+    };
+
+    for (const auto& pair : binary_ops) {
+      const Opcode op = pair[bits == 32 ? 0 : 1];
+      const ValType t = wasm::op_info(op).operand;
+      const z3::expr x = env.var("x", bits);
+      const z3::expr y = env.var("y", bits);
+      const SymValue term = sym_binary(env, op, {t, x}, {t, y});
+      for (const std::uint64_t a : values) {
+        for (const std::uint64_t b : values) {
+          const SymValue got = sym_binary(env, op, {t, a}, {t, b});
+          ASSERT_TRUE(got.is_concrete()) << wasm::op_info(op).name;
+          ASSERT_EQ(*got.concrete(), reference(term, {x, y}, {a, b}))
+              << wasm::op_info(op).name << " x=" << a << " y=" << b;
+          // A mixed term keeps the concrete operand as a numeral; it too
+          // must reduce to the folded value.
+          const SymValue mixed = sym_binary(env, op, {t, x}, {t, b});
+          ASSERT_EQ(*got.concrete(), reference(mixed, {x}, {a}))
+              << wasm::op_info(op).name << " x=" << a << " y=" << b;
+        }
+      }
+    }
+
+    for (const Opcode op : unary_ops) {
+      const auto& info = wasm::op_info(op);
+      if (width_of(info.operand) != bits) continue;
+      const z3::expr x = env.var("x", bits);
+      const SymValue term = sym_unary(env, op, {info.operand, x});
+      for (const std::uint64_t a : values) {
+        const SymValue got = sym_unary(env, op, {info.operand, a});
+        ASSERT_TRUE(got.is_concrete()) << info.name;
+        ASSERT_EQ(got.type, info.result) << info.name;
+        ASSERT_EQ(*got.concrete(), reference(term, {x}, {a}))
+            << info.name << " x=" << a;
+      }
+    }
+
+    for (const Opcode op : counting_ops) {
+      const auto& info = wasm::op_info(op);
+      if (width_of(info.operand) != bits) continue;
+      for (const std::uint64_t a : values) {
+        const SymValue got = sym_unary(env, op, {info.operand, a});
+        ASSERT_EQ(*got.concrete(),
+                  vm::eval_unary_op(op, vm::Value{info.operand, a}).bits)
+            << info.name << " x=" << a;
+      }
+    }
   }
 }
 
@@ -137,7 +222,7 @@ TEST(SymOps, FloatFallbackProducesFreshVarForSymbolicOperands) {
   Z3Env env;
   z3::expr x = env.var("x", 64);
   const auto r = sym_binary(env, Opcode::F64Add, SymValue{ValType::F64, x},
-                            SymValue{ValType::F64, env.bv(0, 64)});
+                            SymValue{ValType::F64, 0});
   EXPECT_EQ(r.type, ValType::F64);
   EXPECT_FALSE(r.is_concrete());
 }
