@@ -1,137 +1,36 @@
-// Ablations for the implemented extensions:
-//   1. parallel constraint solving (§3.4.4) — wall-clock per analysis on a
-//      verification-heavy contract, serial vs worker pool;
-//   2. the dynamic address pool (§4.2 future work) — recall on admin-gated
-//      Rollback contracts, the paper's documented false-negative class.
-#include <chrono>
+// Ablation for the dynamic address pool (§4.2 future work): recall on
+// admin-gated Rollback contracts, the paper's documented false-negative
+// class, with and without the pool.
 #include <cstdio>
-#include <thread>
-#include <vector>
 
-#include <z3++.h>
-
-#include "bench/bench_util.hpp"
 #include "corpus/templates.hpp"
 #include "wasai/wasai.hpp"
-
-namespace {
-
-/// A deliberately solver-bound query: invert a chained bitvector mix.
-std::string hard_query(std::uint64_t seed) {
-  z3::context ctx;
-  z3::expr x = ctx.bv_const("x", 64);
-  z3::expr mixed = ((x * ctx.bv_val(static_cast<std::uint64_t>(0x5851f42d4c957f2dull), 64u)) ^
-                    z3::lshr(x, 13)) *
-                   ctx.bv_val(static_cast<std::uint64_t>(0x14057b7ef767814full), 64u);
-  // Compute the target from a known witness so the query is satisfiable.
-  const std::uint64_t wx = 0x9e3779b97f4a7c15ull * (seed + 1);
-  const std::uint64_t target =
-      ((wx * 0x5851f42d4c957f2dull) ^ (wx >> 13)) * 0x14057b7ef767814full;
-  z3::solver s(ctx);
-  s.add(mixed == ctx.bv_val(static_cast<std::uint64_t>(target), 64u));
-  return s.to_smt2();
-}
-
-double solve_all(const std::vector<std::string>& queries, unsigned threads) {
-  const auto t0 = std::chrono::steady_clock::now();
-  std::vector<std::thread> pool;
-  std::atomic<std::size_t> next{0};
-  const auto worker = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= queries.size()) return;
-      z3::context ctx;
-      z3::solver s(ctx);
-      s.from_string(queries[i].c_str());
-      (void)s.check();
-    }
-  };
-  for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker);
-  for (auto& t : pool) t.join();
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-}  // namespace
 
 int main() {
   using namespace wasai;
 
   std::printf("Ablation: extensions\n\n");
-
-  // ---- 1. parallel solving ------------------------------------------------
-  {
-    util::Rng rng(11);
-    corpus::TemplateOptions o;
-    o.complicated_verification = true;
-    o.verification_depth = 3;
-    const auto sample = corpus::make_fake_eos_sample(rng, true, o);
-    for (const bool parallel : {false, true}) {
-      AnalysisOptions ao;
-      ao.fuzz.iterations = 48;
-      ao.fuzz.parallel_solving = parallel;
-      const auto t0 = std::chrono::steady_clock::now();
-      const auto result = analyze(sample.wasm, sample.abi, ao);
-      const double ms = std::chrono::duration<double, std::milli>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-      std::printf(
-          "solver=%-8s  %7.0f ms, %zu queries, %zu adaptive seeds, "
-          "verdict=%s\n",
-          parallel ? "parallel" : "serial", ms, result.details.solver_queries,
-          result.details.adaptive_seeds,
-          result.has(scanner::VulnType::FakeEos) ? "VULNERABLE" : "safe");
-    }
+  std::printf(
+      "admin-gated Rollback recall (paper: 9 FNs from the missing "
+      "address pool):\n");
+  int detected_without = 0, detected_with = 0;
+  const int n = 6;
+  for (int i = 0; i < n; ++i) {
+    util::Rng rng(100 + i);
+    const auto sample =
+        corpus::make_rollback_sample(rng, true, {}, /*admin_gated=*/true);
+    AnalysisOptions base;
+    base.fuzz.iterations = 60;
+    base.fuzz.rng_seed = i + 1;
+    detected_without +=
+        analyze(sample.wasm, sample.abi, base).has(scanner::VulnType::Rollback);
+    AnalysisOptions pool = base;
+    pool.fuzz.dynamic_address_pool = true;
+    detected_with +=
+        analyze(sample.wasm, sample.abi, pool).has(scanner::VulnType::Rollback);
   }
-
-  // The fuzzer-integrated comparison above uses tiny queries, where the
-  // SMT-LIB2 export/re-parse overhead dominates; the paper's 3,000 ms-class
-  // queries are solver-bound. The synthetic workload below isolates that
-  // regime: inverting chained bitvector mixes. It needs real cores.
-  {
-    const unsigned hw = std::thread::hardware_concurrency();
-    if (hw < 2) {
-      std::printf(
-          "solver-bound workload: skipped — single-core host, thread-level "
-          "solving cannot yield wall-clock speedup here\n");
-    } else {
-      std::vector<std::string> queries;
-      for (std::uint64_t i = 0; i < 8; ++i) queries.push_back(hard_query(i));
-      const double serial_ms = solve_all(queries, 1);
-      const double parallel_ms = solve_all(queries, hw);
-      std::printf(
-          "solver-bound workload (8 bitvector-inversion queries): serial "
-          "%.0f ms vs %u threads %.0f ms -> %.2fx\n",
-          serial_ms, hw, parallel_ms, serial_ms / parallel_ms);
-    }
-  }
-
-  // ---- 2. dynamic address pool ---------------------------------------------
-  {
-    std::printf(
-        "\nadmin-gated Rollback recall (paper: 9 FNs from the missing "
-        "address pool):\n");
-    int detected_without = 0, detected_with = 0;
-    const int n = 6;
-    for (int i = 0; i < n; ++i) {
-      util::Rng rng(100 + i);
-      const auto sample =
-          corpus::make_rollback_sample(rng, true, {}, /*admin_gated=*/true);
-      AnalysisOptions base;
-      base.fuzz.iterations = 60;
-      base.fuzz.rng_seed = i + 1;
-      detected_without +=
-          analyze(sample.wasm, sample.abi, base).has(scanner::VulnType::Rollback);
-      AnalysisOptions pool = base;
-      pool.fuzz.dynamic_address_pool = true;
-      detected_with +=
-          analyze(sample.wasm, sample.abi, pool).has(scanner::VulnType::Rollback);
-    }
-    std::printf("  without pool: %d/%d detected (the paper's WASAI)\n",
-                detected_without, n);
-    std::printf("  with pool   : %d/%d detected (extension)\n", detected_with,
-                n);
-  }
+  std::printf("  without pool: %d/%d detected (the paper's WASAI)\n",
+              detected_without, n);
+  std::printf("  with pool   : %d/%d detected (extension)\n", detected_with, n);
   return 0;
 }

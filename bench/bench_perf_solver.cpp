@@ -1,14 +1,12 @@
 // Solver performance suite: fuzzes the committed corpus with the
-// incremental path-prefix walk and the cross-iteration query cache toggled
-// independently, and writes BENCH_solver.json with per-config throughput
-// (transactions/sec), solver wall time, Z3 query counts and cache hit
-// rates.
+// cross-iteration query cache off and on, and writes BENCH_solver.json
+// with per-config throughput (transactions/sec), solver wall time, Z3
+// query counts and cache hit rates.
 //
-// The suite doubles as an end-to-end parity gate: all four configurations
-// must produce identical findings, adaptive-seed counts and coverage for
-// every contract — the solver layer guarantees byte-identical seed
-// streams, so ANY downstream divergence fails the bench (exit 1). CI runs
-// this on every push.
+// The suite doubles as an end-to-end parity gate: both configurations must
+// produce identical findings, adaptive-seed counts and coverage for every
+// contract — the cache is a pure performance knob, so ANY downstream
+// divergence fails the bench (exit 1). CI runs this on every push.
 //
 // Corpus: the `examples/wasm/testgen_<seed>.wasm` modules (regenerated
 // from the seed encoded in the filename, which also yields their ABIs)
@@ -50,7 +48,6 @@ struct Contract {
 
 struct Config {
   std::string name;
-  bool incremental;
   bool cache;
 };
 
@@ -152,7 +149,6 @@ ConfigTotals run_config(const std::vector<Contract>& corpus,
     options.fuzz.iterations = iterations;
     options.fuzz.rng_seed = 1;
     options.fuzz.obs = &obs;
-    options.fuzz.solver.incremental = config.incremental;
     options.fuzz.solver_cache = config.cache;
     const auto result = analyze(contract.wasm, contract.abi, options);
     const auto& d = result.details;
@@ -211,10 +207,8 @@ int main() {
               corpus.size(), iterations);
 
   const Config configs[] = {
-      {"legacy", false, false},
-      {"incremental", true, false},
-      {"cached", false, true},
-      {"incremental_cached", true, true},
+      {"uncached", false},
+      {"cached", true},
   };
 
   std::map<std::string, ConfigTotals> totals;
@@ -226,16 +220,16 @@ int main() {
                             .count();
     const ConfigTotals& t = totals[config.name];
     std::printf(
-        "  %-18s %7.1f solver ms, %5zu queries, %5zu hits (%4.1f%%), "
+        "  %-9s %7.1f solver ms, %5zu queries, %5zu hits (%4.1f%%), "
         "%7.1f txn/sec  (%.1fs)\n",
         config.name.c_str(), t.solver_wall_ms, t.queries, t.cache_hits,
         100.0 * t.hit_rate(), t.transactions_per_sec(), secs);
   }
 
-  // Parity gate: every configuration must reproduce the legacy run's
+  // Parity gate: the cached run must reproduce the uncached run's
   // per-contract outcomes exactly.
   bool parity_ok = true;
-  const auto& reference = totals["legacy"].fingerprints;
+  const auto& reference = totals["uncached"].fingerprints;
   for (const auto& config : configs) {
     if (totals[config.name].fingerprints == reference) continue;
     parity_ok = false;
@@ -246,15 +240,16 @@ int main() {
     }
   }
 
-  const ConfigTotals& legacy = totals["legacy"];
-  const ConfigTotals& best = totals["incremental_cached"];
-  const bool wall_reduced = best.solver_wall_ms < legacy.solver_wall_ms;
-  const bool queries_reduced = best.queries < legacy.queries;
+  const ConfigTotals& uncached = totals["uncached"];
+  const ConfigTotals& cached = totals["cached"];
+  const bool wall_reduced = cached.solver_wall_ms < uncached.solver_wall_ms;
+  const bool queries_reduced = cached.queries < uncached.queries;
   std::printf(
-      "incremental+cached vs legacy: solver wall %.1f -> %.1f ms (%s), "
+      "cached vs uncached: solver wall %.1f -> %.1f ms (%s), "
       "queries %zu -> %zu (%s), parity %s\n",
-      legacy.solver_wall_ms, best.solver_wall_ms,
-      wall_reduced ? "reduced" : "NOT reduced", legacy.queries, best.queries,
+      uncached.solver_wall_ms, cached.solver_wall_ms,
+      wall_reduced ? "reduced" : "NOT reduced", uncached.queries,
+      cached.queries,
       queries_reduced ? "reduced" : "NOT reduced",
       parity_ok ? "ok" : "DIVERGED");
 

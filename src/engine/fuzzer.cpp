@@ -5,7 +5,6 @@
 #include <unordered_set>
 
 #include "scanner/facts.hpp"
-#include "symbolic/parallel_solver.hpp"
 
 namespace wasai::engine {
 
@@ -447,12 +446,7 @@ void Fuzzer::feedback_trace(Shard& shard,
       solver_opts.pruned_flips_free_budget = options_.static_prioritize;
     }
     auto adaptive =
-        options_.parallel_solving
-            ? symbolic::solve_flips_parallel(env_, replayed, h.last_params(),
-                                             solver_opts,
-                                             options_.solver_threads)
-            : symbolic::solve_flips(env_, replayed, h.last_params(),
-                                    solver_opts);
+        symbolic::solve_flips(env_, replayed, h.last_params(), solver_opts);
     report_.solver_queries += adaptive.queries;
     report_.solver_sat += adaptive.sat;
     report_.solver_sat_late += adaptive.sat_late;

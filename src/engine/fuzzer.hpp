@@ -43,15 +43,11 @@ struct FuzzOptions {
   /// Run the adversary payload transactions (§2.3 oracles). Off restricts
   /// the loop to Normal mode — useful for pure coverage measurements.
   bool adversary_payloads = true;
-  /// §3.4.4: solve the collected flip constraints on a worker pool instead
-  /// of sequentially (0 threads = hardware concurrency).
-  bool parallel_solving = false;
-  unsigned solver_threads = 0;
   /// Cross-iteration flip dedup: cache solver verdicts + models keyed by
-  /// the query's constraint digest, so a flip already decided in an earlier
-  /// iteration costs a hash lookup instead of a Z3 call. Off = every flip
-  /// goes to Z3 (perf-bench/ablation knob; the seed stream is identical
-  /// either way).
+  /// the query's AST-identity digest, so a flip already decided in an
+  /// earlier iteration costs a hash lookup instead of a Z3 call. Off =
+  /// every flip goes to Z3 (perf-bench/ablation knob; findings, coverage
+  /// and adaptive-seed counts are the same either way).
   bool solver_cache = true;
   std::size_t solver_cache_capacity = 4096;
   /// Extension of §4.2's "address pool" future work: let the fuzzer create

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <optional>
 
 namespace wasai::symbolic {
 
@@ -16,8 +15,7 @@ double ms_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
 }
 
-}  // namespace
-
+/// Apply one solved binding onto a parameter vector.
 void apply_model_binding(std::vector<ParamValue>& params,
                          const InputBinding& b, std::uint64_t value) {
   ParamValue& p = params.at(b.param_index);
@@ -60,6 +58,8 @@ void apply_model_binding(std::vector<ParamValue>& params,
   }
 }
 
+/// Every zero-arity numeral interpretation of `model` as (name, value)
+/// pairs — the representation the cache stores.
 ModelValues extract_model_values(const z3::model& model) {
   ModelValues out;
   out.reserve(model.size());
@@ -74,6 +74,8 @@ ModelValues extract_model_values(const z3::model& model) {
   return out;
 }
 
+/// Apply model values onto a copy of the seed parameters through the
+/// input bindings.
 std::vector<ParamValue> seed_from_model_values(
     const std::vector<ParamValue>& seed_params,
     const std::vector<InputBinding>& bindings, const ModelValues& values) {
@@ -91,30 +93,14 @@ std::vector<ParamValue> seed_from_model_values(
   return mutated;
 }
 
-SmtQueryResult solve_smt2_query(const std::string& smt2, unsigned timeout_ms,
-                                double hard_ms) {
-  SmtQueryResult out;
-  z3::context ctx;
-  z3::solver solver(ctx);
+}  // namespace
+
+z3::solver make_flip_solver(z3::context& ctx, unsigned timeout_ms) {
+  z3::solver solver(ctx, "QF_BV");
   z3::params p(ctx);
   p.set("timeout", timeout_ms);
   solver.set(p);
-  solver.from_string(smt2.c_str());
-  const auto start = Clock::now();
-  const auto verdict = solver.check();
-  if (verdict == z3::unsat) {
-    out.verdict = SmtQueryResult::Verdict::Unsat;
-  } else if (verdict == z3::sat) {
-    out.verdict = SmtQueryResult::Verdict::Sat;
-  }
-  if (ms_since(start) > hard_ms) {
-    out.overshoot = true;  // model discarded; verdict kept for accounting
-    return out;
-  }
-  if (verdict == z3::sat) {
-    out.model = extract_model_values(solver.get_model());
-  }
-  return out;
+  return solver;
 }
 
 AdaptiveSeeds solve_flips(Z3Env& env, const ReplayResult& replay,
@@ -126,23 +112,22 @@ AdaptiveSeeds solve_flips(Z3Env& env, const ReplayResult& replay,
   const auto start = Clock::now();
   const double hard_ms = opts.effective_hard_timeout_ms();
 
-  // Incremental mode: one walker solver accumulates holds across the whole
-  // walk; each flip is serialized from a push() scope and decided in a
-  // fresh context (see the header note on why the walker never check()s
-  // itself). The walker is materialized lazily on the first cache miss —
-  // asserting holds into a Z3 solver costs internalization work, and a
-  // walk whose flips are all answered by the cache should not pay it.
-  // Legacy mode re-asserts the prefix into a fresh solver per flip.
-  std::optional<z3::solver> walker;
   QueryDigest digest;                   // rolling prefix digest (cache keys)
   std::vector<const z3::expr*> prefix;  // holds walked so far
 
   const auto push_hold = [&](const PathStep& step) {
     if (step.hold) {
       prefix.push_back(&*step.hold);
-      if (walker.has_value()) walker->add(*step.hold);
       if (opts.cache != nullptr) digest.extend(*step.hold);
     }
+  };
+  // The ASTs a cache key was digested from, for the entry to pin.
+  const auto query_asts = [&](const z3::expr& flip) {
+    std::vector<z3::expr> asts;
+    asts.reserve(prefix.size() + 1);
+    for (const z3::expr* hold : prefix) asts.push_back(*hold);
+    asts.push_back(flip);
+    return asts;
   };
   const auto statically_pruned = [&](const PathStep& step) {
     return opts.prune_flip_sites != nullptr &&
@@ -201,69 +186,43 @@ AdaptiveSeeds solve_flips(Z3Env& env, const ReplayResult& replay,
         ++out.queries;
 
         const auto query_begin = Clock::now();
-        SmtQueryResult result;
-        if (opts.incremental) {
-          if (!walker.has_value()) {
-            walker.emplace(env.ctx());
-            for (const z3::expr* hold : prefix) walker->add(*hold);
-          }
-          walker->push();
-          walker->add(*step.flip);
-          const std::string smt2 = walker->to_smt2();
-          walker->pop();
-          result = solve_smt2_query(smt2, opts.timeout_ms, hard_ms);
-        } else {
-          z3::solver solver(env.ctx());
-          z3::params p(env.ctx());
-          p.set("timeout", opts.timeout_ms);
-          solver.set(p);
-          // Path prefix must stay feasible (§3.4.4: AND of prior
-          // constraints).
-          for (const z3::expr* hold : prefix) solver.add(*hold);
-          solver.add(*step.flip);
-          const auto query_start = Clock::now();
-          const auto verdict = solver.check();
-          if (verdict == z3::unsat) {
-            result.verdict = SmtQueryResult::Verdict::Unsat;
-          } else if (verdict == z3::sat) {
-            result.verdict = SmtQueryResult::Verdict::Sat;
-          }
-          if (ms_since(query_start) > hard_ms) {
-            result.overshoot = true;
-          } else if (verdict == z3::sat) {
-            result.model = extract_model_values(solver.get_model());
-          }
-        }
-
+        // Path prefix must stay feasible (§3.4.4: AND of prior constraints).
+        z3::solver solver = make_flip_solver(env.ctx(), opts.timeout_ms);
+        for (const z3::expr* hold : prefix) solver.add(*hold);
+        solver.add(*step.flip);
+        const auto check_start = Clock::now();
+        const z3::check_result verdict = solver.check();
+        const bool overshoot = ms_since(check_start) > hard_ms;
         if (opts.obs != nullptr) {
           opts.obs->count("solver.queries");
           opts.obs->latency_us("solver.query_us",
                                ms_since(query_begin) * 1000.0);
         }
-        if (result.overshoot) {
+        if (overshoot) {
           // Z3 overshot its soft timeout badly enough that the result is no
           // longer worth the budget it consumed. The model (if any) is
           // discarded so the seed stream stays timing-independent, and the
           // outcome is never cached — see SolverOptions::hard_timeout_ms
           // for the sat_late/unknown split.
-          if (result.verdict == SmtQueryResult::Verdict::Sat) {
+          if (verdict == z3::sat) {
             ++out.sat_late;
           } else {
             ++out.unknown;
           }
-        } else if (result.verdict == SmtQueryResult::Verdict::Sat) {
+        } else if (verdict == z3::sat) {
+          ModelValues model = extract_model_values(solver.get_model());
           ++out.sat;
-          out.seeds.push_back(seed_from_model_values(seed_params,
-                                                     replay.bindings,
-                                                     result.model));
+          out.seeds.push_back(
+              seed_from_model_values(seed_params, replay.bindings, model));
           if (opts.cache != nullptr) {
-            opts.cache->insert(key, CachedVerdict::Sat,
-                               std::move(result.model));
+            opts.cache->insert(key, query_asts(*step.flip), CachedVerdict::Sat,
+                               std::move(model));
           }
-        } else if (result.verdict == SmtQueryResult::Verdict::Unsat) {
+        } else if (verdict == z3::unsat) {
           ++out.unsat;
           if (opts.cache != nullptr) {
-            opts.cache->insert(key, CachedVerdict::Unsat);
+            opts.cache->insert(key, query_asts(*step.flip),
+                               CachedVerdict::Unsat);
           }
         } else {
           ++out.unknown;

@@ -2,21 +2,24 @@
 // conditional state, conjoin the path prefix, and ask Z3 for a model —
 // each model becomes an adaptive seed.
 //
-// Two serial strategies share one walk:
-//  * incremental (default): a single walker z3::solver accumulates the
-//    path prefix once — assert hold k, push, assert flip, serialize, pop,
-//    continue — so one solve_flips call issues O(path) constraint
-//    assertions; each serialized flip query is decided in a fresh context
-//    (the exact procedure the parallel workers use). Checking directly on
-//    the walker would avoid the serialization, but Z3's incremental engine
-//    picks different models than a one-shot solver for the same query
-//    (measured: the majority of sat models differ), which would break the
-//    cross-mode seed parity this repo guarantees. The SMT-LIB2 round trip
-//    is model-stable: fresh-context from_string reproduces the one-shot
-//    models bit-for-bit.
-//  * legacy (incremental = false): a fresh solver per flip re-asserts the
-//    whole prefix, O(path²) assertions per call. Kept as the reference
-//    implementation the parity tests and the perf bench compare against.
+// One serial path: every flip is decided by a fresh QF_BV solver
+// (make_flip_solver) in the replay's own Z3 context, which re-asserts the
+// path prefix and the flip. Every replayed term is a bitvector, so QF_BV
+// is exact. The queries are tiny (a few asserts, no arrays), so their cost
+// is set-up: a QF_BV solver in a live context answers in about a
+// millisecond, where a fresh context, SMT-LIB2 parsing and Z3's default
+// solver combination cost about ten times that.
+//
+// Why not push/pop: a walker solver that asserts each hold once and checks
+// every flip inside a push() scope saves only the O(path²) re-assertions,
+// which cost little on these short paths (it measured about 1.1 ms per
+// query, no faster). Its models come from the incremental engine's
+// accumulated state rather than from the query, and on the Table-4
+// template corpus that lost 21 of 80 findings.
+//
+// Determinism: the model Z3 picks depends on the query and on the
+// context's AST history; both are fixed by the inputs and the seed, so runs
+// are reproducible (DESIGN.md, "Determinism", has the solver contract).
 // An optional cross-iteration SolverCache short-circuits queries that were
 // already decided in an earlier iteration (see solver_cache.hpp).
 #pragma once
@@ -30,12 +33,9 @@ namespace wasai::symbolic {
 struct SolverOptions {
   unsigned timeout_ms = 200;    // per-query budget (paper used 3,000 ms)
   std::size_t max_flips = 24;   // cap on flip targets per executed seed
-  /// Incremental path-prefix solving (see header note). Off = legacy
-  /// fresh-solver-per-flip; parity between the two is tested, and the perf
-  /// bench toggles this knob.
-  bool incremental = true;
   /// Cross-iteration query cache; not owned, may be null (= no caching).
-  /// One cache must only ever see queries from one Z3Env.
+  /// One cache must only ever see queries from one Z3Env, and must be
+  /// destroyed before it: entries pin that context's ASTs.
   SolverCache* cache = nullptr;
   /// Hard wall-clock cap per query. Z3's "timeout" parameter is a soft
   /// limit that the solver can overshoot. Accounting for a query whose
@@ -70,8 +70,7 @@ struct SolverOptions {
   const util::CancelToken* cancel = nullptr;
   /// Observability track of the calling thread (may be null = off). The
   /// whole call is wrapped in a `solve_flips` span; per-query wall times
-  /// feed the `solver.query_us` histogram. Parallel workers only touch the
-  /// shared histogram/counters, never the track's span log.
+  /// feed the `solver.query_us` histogram.
   obs::Obs* obs = nullptr;
 
   [[nodiscard]] unsigned effective_hard_timeout_ms() const {
@@ -100,38 +99,9 @@ struct AdaptiveSeeds {
   bool aborted = false;  // stopped early (wall budget or cancellation)
 };
 
-/// Apply one solved binding onto a parameter vector. Shared by the serial
-/// and parallel solvers so both map models onto seeds identically.
-void apply_model_binding(std::vector<abi::ParamValue>& params,
-                         const InputBinding& binding, std::uint64_t value);
-
-/// Extract every zero-arity numeral interpretation of `model` as
-/// (name, value) pairs — the representation the cache stores and both
-/// solvers map back onto seeds.
-ModelValues extract_model_values(const z3::model& model);
-
-/// Apply extracted model values onto a copy of the seed parameters through
-/// the input bindings; bindings whose variable the model does not mention
-/// keep their executed-seed values.
-std::vector<abi::ParamValue> seed_from_model_values(
-    const std::vector<abi::ParamValue>& seed_params,
-    const std::vector<InputBinding>& bindings, const ModelValues& values);
-
-/// Outcome of one serialized flip query.
-struct SmtQueryResult {
-  enum class Verdict : std::uint8_t { Sat, Unsat, Unknown } verdict =
-      Verdict::Unknown;
-  ModelValues model;       // populated for sat within the hard cap
-  bool overshoot = false;  // wall time exceeded hard_ms; model discarded
-};
-
-/// Decide one SMT-LIB2 query in a fresh Z3 context. The single solving
-/// procedure behind both the serial incremental walk and the parallel
-/// workers — using exactly one procedure everywhere is what makes the
-/// emitted seed stream identical across modes. Safe to call from any
-/// thread (the context is function-local).
-SmtQueryResult solve_smt2_query(const std::string& smt2, unsigned timeout_ms,
-                                double hard_ms);
+/// The solver solve_flips decides each flip with: a fresh QF_BV solver in
+/// `ctx` with Z3's soft per-query `timeout`.
+z3::solver make_flip_solver(z3::context& ctx, unsigned timeout_ms);
 
 /// Solve every flippable conditional of `replay` against the path prefix,
 /// mapping each model back onto the executed seed's parameters through the

@@ -2,25 +2,16 @@
 
 namespace wasai::symbolic {
 
-void QueryDigest::absorb(util::Digest& d, const std::string& text) const {
-  // Length framing keeps constraint boundaries unambiguous under
-  // concatenation ("a" + "bc" vs "ab" + "c").
-  d.u64(text.size());
-  for (const char c : text) d.u8(static_cast<std::uint8_t>(c));
-}
-
 void QueryDigest::extend(const z3::expr& hold) {
-  const std::string text = hold.to_string();
-  absorb(primary_, text);
-  absorb(secondary_, text);
+  primary_.u32(hold.id());
+  secondary_.u32(hold.id());
 }
 
 QueryKey QueryDigest::flip_key(const z3::expr& flip) const {
-  const std::string text = flip.to_string();
   util::Digest p = primary_;
   util::Digest s = secondary_;
-  absorb(p, text);
-  absorb(s, text);
+  p.u32(flip.id());
+  s.u32(flip.id());
   return QueryKey{p.value(), s.value()};
 }
 
@@ -35,12 +26,13 @@ const CacheEntry* SolverCache::lookup(const QueryKey& key) {
   return &it->second.entry;
 }
 
-void SolverCache::insert(const QueryKey& key, CachedVerdict verdict,
-                         ModelValues model) {
+void SolverCache::insert(const QueryKey& key, std::vector<z3::expr> pins,
+                         CachedVerdict verdict, ModelValues model) {
   const auto it = map_.find(key.primary);
   if (it != map_.end()) {
     it->second.key = key;
     it->second.entry = CacheEntry{verdict, std::move(model)};
+    it->second.pins = std::move(pins);
     lru_.splice(lru_.begin(), lru_, it->second.lru);
     return;
   }
@@ -51,8 +43,8 @@ void SolverCache::insert(const QueryKey& key, CachedVerdict verdict,
     ++stats_.evictions;
   }
   lru_.push_front(key.primary);
-  map_.emplace(key.primary,
-               Slot{key, CacheEntry{verdict, std::move(model)}, lru_.begin()});
+  map_.emplace(key.primary, Slot{key, CacheEntry{verdict, std::move(model)},
+                                 std::move(pins), lru_.begin()});
   ++stats_.insertions;
   stats_.entries = map_.size();
 }

@@ -2,18 +2,24 @@
 // every fuzz iteration replays a trace and flips each branch, and most of
 // those (prefix, flip) pairs were already decided in an earlier iteration —
 // the trace shapes recur as the seed pool converges. The cache keys each
-// query by a digest of its printed constraint set and stores the verdict
+// query by a digest of its constraints' Z3 AST ids and stores the verdict
 // plus the satisfying model bindings, so a repeated flip costs a hash
 // lookup instead of a Z3 call.
 //
-// Determinism note: keys are digests of the RAW printed constraints, not an
-// alpha-renamed normal form. Z3's model choice depends on symbol names, so
-// two alpha-equivalent queries with different variable names can have
-// different models; sharing a cached model between them would make a cached
-// run diverge from an uncached one. Replay variable names are deterministic
-// per trace shape ("p0", "p1_amount", "mem_<addr>" — see inputs.cpp and
-// memory_model.cpp), so recurring queries are textually identical and the
-// raw-text key already dedups everything that is safe to dedup.
+// Determinism note: keys are digests of AST ids, not of printed text. Z3
+// hash-conses terms, so within one context structurally equal terms that
+// are alive at the same time are one AST with one id, and a query's id
+// sequence identifies it as exactly as its text would, without printing.
+// Replay variable names are deterministic per trace shape ("p0",
+// "p1_amount", "mem_<addr>" — see inputs.cpp and memory_model.cpp), so a
+// recurring query rebuilds the same terms. Z3 recycles the id of a freed
+// AST, though: a term rebuilt after its earlier copy was freed gets a new
+// id (a spurious miss), and another term can inherit the freed id (a false
+// hit). Each entry therefore pins the ASTs its key mentions until it is
+// evicted, so a rebuilt term hash-conses onto the pinned AST and no live
+// key's id is reused. Distinct variables are distinct ASTs, so
+// alpha-equivalent queries never share an entry (Z3's model choice depends
+// on symbol names).
 #pragma once
 
 #include <z3++.h>
@@ -33,8 +39,8 @@ namespace wasai::symbolic {
 using ModelValues = std::vector<std::pair<std::string, std::uint64_t>>;
 
 /// 128-bit cache key: the primary FNV-1a digest plus a salted second
-/// FNV-1a stream over the same constraint text (same non-cryptographic
-/// hash family, different seed — the streams are correlated, not an
+/// FNV-1a stream over the same AST ids (same non-cryptographic hash
+/// family, different seed — the streams are correlated, not an
 /// independent hash pair). The secondary digest is a best-effort guard
 /// against a primary collision silently returning a wrong verdict — a
 /// mismatch is treated as a miss.
@@ -45,10 +51,10 @@ struct QueryKey {
   bool operator==(const QueryKey&) const = default;
 };
 
-/// Rolling digest over the printed path-prefix constraints. The fuzzer's
-/// walk extends it once per hold (each constraint is printed exactly once),
-/// and flip_key() forks the prefix state with the flip constraint's text to
-/// produce the key of one (prefix, flip) query in O(|flip|).
+/// Rolling digest over the path-prefix constraints' AST ids. The fuzzer's
+/// walk extends it once per hold, and flip_key() forks the prefix state
+/// with the flip constraint's id to produce the key of one (prefix, flip)
+/// query in O(1). All constraints must come from one Z3 context.
 class QueryDigest {
  public:
   /// Absorb the next path-prefix constraint.
@@ -58,8 +64,6 @@ class QueryDigest {
   [[nodiscard]] QueryKey flip_key(const z3::expr& flip) const;
 
  private:
-  void absorb(util::Digest& d, const std::string& text) const;
-
   util::Digest primary_;
   util::Digest secondary_{make_secondary()};
 
@@ -86,10 +90,9 @@ struct SolverCacheStats {
 };
 
 /// Bounded LRU map from query key to solved verdict + model. One instance
-/// per Fuzzer (one Z3Env); NOT thread-safe — the parallel solver consults
-/// it from the coordinating thread only (pre-pass / merge), never from
-/// workers. Only Sat and Unsat verdicts are cached: unknown and overshoot
-/// outcomes are timing artifacts that a later attempt may decide.
+/// per Fuzzer (one Z3Env), destroyed before that context; NOT
+/// thread-safe. Only Sat and Unsat verdicts are cached: unknown and
+/// overshoot outcomes are timing artifacts that a later attempt may decide.
 class SolverCache {
  public:
   explicit SolverCache(std::size_t capacity = 4096)
@@ -100,9 +103,12 @@ class SolverCache {
   const CacheEntry* lookup(const QueryKey& key);
 
   /// Record a solved query, evicting the least-recently-used entry when at
-  /// capacity. Re-inserting an existing key refreshes value and position.
-  void insert(const QueryKey& key, CachedVerdict verdict,
-              ModelValues model = {});
+  /// capacity. `pins` are the ASTs the key was digested from (prefix holds
+  /// and flip); the entry keeps them alive so their ids stay theirs (see
+  /// the determinism note). Re-inserting an existing key refreshes value,
+  /// pins and position.
+  void insert(const QueryKey& key, std::vector<z3::expr> pins,
+              CachedVerdict verdict, ModelValues model = {});
 
   [[nodiscard]] const SolverCacheStats& stats() const { return stats_; }
   [[nodiscard]] std::size_t size() const { return map_.size(); }
@@ -112,6 +118,7 @@ class SolverCache {
   struct Slot {
     QueryKey key;
     CacheEntry entry;
+    std::vector<z3::expr> pins;
     std::list<std::uint64_t>::iterator lru;  // position in lru_
   };
 

@@ -1,6 +1,6 @@
-// Tests for the feature extensions: offline trace files (§3.3.1), the
-// parallel constraint solver (§3.4.4) and the dynamic address pool (the
-// paper's §4.2 future-work fix for address-gated contracts).
+// Tests for the feature extensions: offline trace files (§3.3.1), flip
+// solving on verification-heavy contracts (§3.4.4) and the dynamic address
+// pool (the paper's §4.2 future-work fix for address-gated contracts).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -8,7 +8,6 @@
 #include "corpus/templates.hpp"
 #include "engine/fuzzer.hpp"
 #include "instrument/trace_io.hpp"
-#include "symbolic/parallel_solver.hpp"
 #include "wasai/wasai.hpp"
 
 namespace wasai {
@@ -116,37 +115,32 @@ TEST(TraceIo, CapturedFuzzingTracesRoundTrip) {
   }
 }
 
-// --------------------------------------------------------- parallel solver
+// ------------------------------------------------------------ flip solving
 
-TEST(ParallelSolver, FuzzerSolvesComplicatedVerificationInParallel) {
+TEST(FlipSolving, FuzzerSolvesComplicatedVerification) {
   Rng rng(2);
   corpus::TemplateOptions o;
   o.complicated_verification = true;
   const auto sample = corpus::make_fake_eos_sample(rng, true, o);
   AnalysisOptions ao;
   ao.fuzz.iterations = 48;
-  ao.fuzz.parallel_solving = true;
-  ao.fuzz.solver_threads = 4;
   const auto result = analyze(sample.wasm, sample.abi, ao);
   EXPECT_TRUE(result.has(VulnType::FakeEos));
   EXPECT_GT(result.details.adaptive_seeds, 0u);
 }
 
-TEST(ParallelSolver, MatchesSerialVerdictsAcrossFamilies) {
+TEST(FlipSolving, RollbackVerdictsAcrossSeeds) {
   for (std::uint64_t s = 10; s < 14; ++s) {
     Rng rng_a(s), rng_b(s);
     const auto vul = corpus::make_rollback_sample(rng_a, true);
     const auto safe = corpus::make_rollback_sample(rng_b, false);
-    for (const bool parallel : {false, true}) {
-      AnalysisOptions ao;
-      ao.fuzz.iterations = 36;
-      ao.fuzz.rng_seed = s;
-      ao.fuzz.parallel_solving = parallel;
-      EXPECT_TRUE(analyze(vul.wasm, vul.abi, ao).has(VulnType::Rollback))
-          << "parallel=" << parallel << " seed=" << s;
-      EXPECT_FALSE(analyze(safe.wasm, safe.abi, ao).has(VulnType::Rollback))
-          << "parallel=" << parallel << " seed=" << s;
-    }
+    AnalysisOptions ao;
+    ao.fuzz.iterations = 36;
+    ao.fuzz.rng_seed = s;
+    EXPECT_TRUE(analyze(vul.wasm, vul.abi, ao).has(VulnType::Rollback))
+        << "seed=" << s;
+    EXPECT_FALSE(analyze(safe.wasm, safe.abi, ao).has(VulnType::Rollback))
+        << "seed=" << s;
   }
 }
 

@@ -1,7 +1,7 @@
-// Engine-level parity for the solver performance layer: the incremental
-// walk and the cross-iteration query cache are pure performance knobs, so
-// a full fuzzing campaign must produce identical findings, coverage and
-// adaptive-seed counts whichever way they are toggled.
+// Engine-level parity for the solver performance layer: the
+// cross-iteration query cache is a pure performance knob, so a full fuzzing
+// campaign must produce identical findings, coverage and adaptive-seed
+// counts with it on or off.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -25,16 +25,13 @@ struct Outcome {
   bool operator==(const Outcome&) const = default;
 };
 
-Outcome run_once(const util::Bytes& wasm, const abi::Abi& abi,
-                 bool incremental, bool cache, bool parallel,
+Outcome run_once(const util::Bytes& wasm, const abi::Abi& abi, bool cache,
                  std::size_t cache_capacity = 4096) {
   AnalysisOptions options;
   options.fuzz.iterations = 12;
   options.fuzz.rng_seed = 1;
-  options.fuzz.solver.incremental = incremental;
   options.fuzz.solver_cache = cache;
   options.fuzz.solver_cache_capacity = cache_capacity;
-  options.fuzz.parallel_solving = parallel;
   const auto result = analyze(wasm, abi, options);
   Outcome out{result.details.adaptive_seeds,
               result.details.distinct_branches,
@@ -63,42 +60,24 @@ TEST(SolverPerfParity, ConfigsAgreeOnFixedSeedTestgenModules) {
     const auto gen = testgen::generate(seed);
     const auto wasm = wasm::encode(gen.module);
 
-    const Outcome legacy =
-        run_once(wasm, gen.abi, /*incremental=*/false, /*cache=*/false,
-                 /*parallel=*/false);
-    EXPECT_EQ(run_once(wasm, gen.abi, true, false, false), legacy)
-        << "incremental, seed " << seed;
-    EXPECT_EQ(run_once(wasm, gen.abi, false, true, false), legacy)
+    const Outcome uncached = run_once(wasm, gen.abi, /*cache=*/false);
+    EXPECT_EQ(run_once(wasm, gen.abi, /*cache=*/true), uncached)
         << "cached, seed " << seed;
-    EXPECT_EQ(run_once(wasm, gen.abi, true, true, false), legacy)
-        << "incremental+cached, seed " << seed;
-    EXPECT_EQ(run_once(wasm, gen.abi, true, true, true), legacy)
-        << "incremental+cached parallel, seed " << seed;
   }
 }
 
 TEST(SolverPerfParity, TinyCacheEvictionKeepsParity) {
-  // Regression: a capacity below the flip count forces LRU eviction while
-  // a single solve call is still merging its results, so cached entries
-  // must be copied out of the cache, not referenced — a dangling entry
-  // corrupts the seed stream. Parity against the uncached legacy walk
-  // must survive constant eviction pressure in both serial and parallel
-  // modes.
+  // A capacity below the flip count evicts entries, and releases their
+  // pinned ASTs, in the middle of every solve call. Parity against the
+  // uncached walk must survive that constant eviction pressure.
   for (const std::uint64_t seed : {7ull, 1234567ull}) {
     const auto gen = testgen::generate(seed);
     const auto wasm = wasm::encode(gen.module);
 
-    const Outcome legacy =
-        run_once(wasm, gen.abi, /*incremental=*/false, /*cache=*/false,
-                 /*parallel=*/false);
-    EXPECT_EQ(run_once(wasm, gen.abi, true, true, false,
-                       /*cache_capacity=*/2),
-              legacy)
-        << "tiny-cache serial, seed " << seed;
-    EXPECT_EQ(run_once(wasm, gen.abi, true, true, true,
-                       /*cache_capacity=*/2),
-              legacy)
-        << "tiny-cache parallel, seed " << seed;
+    const Outcome uncached = run_once(wasm, gen.abi, /*cache=*/false);
+    EXPECT_EQ(run_once(wasm, gen.abi, /*cache=*/true, /*cache_capacity=*/2),
+              uncached)
+        << "tiny cache, seed " << seed;
   }
 }
 

@@ -9,7 +9,6 @@
 #include "instrument/instrumenter.hpp"
 #include "instrument/trace_sink.hpp"
 #include "symbolic/ops.hpp"
-#include "symbolic/parallel_solver.hpp"
 #include "symbolic/solver.hpp"
 #include "util/rng.hpp"
 #include "wasm/encoder.hpp"
@@ -112,10 +111,25 @@ TEST(SymOps, SymbolicComparisonSolvable) {
   EXPECT_EQ(s.get_model().eval(x, true).get_numeral_uint64(), 77u);
 }
 
+// True when `e` is a quantifier-free bitvector term: every subterm is a
+// bitvector or Boolean application, and only constants are uninterpreted.
+bool in_qf_bv(const z3::expr& e) {
+  if (!e.is_app() || (!e.is_bv() && !e.is_bool())) return false;
+  if (e.num_args() != 0 && e.decl().decl_kind() == Z3_OP_UNINTERPRETED) {
+    return false;
+  }
+  for (unsigned i = 0; i < e.num_args(); ++i) {
+    if (!in_qf_bv(e.arg(i))) return false;
+  }
+  return true;
+}
+
 // Concrete folds must equal Z3's simplification of the term the symbolic
 // path builds for the same operands, so folding changes no constraint. That
 // includes the inputs where Wasm traps but SMT-LIB defines a value: zero
-// divisors, INT_MIN / -1, and shift counts of at least the width.
+// divisors, INT_MIN / -1, and shift counts of at least the width. The same
+// terms must lie in QF_BV, the logic solve_flips fixes, and the solver it
+// decides flips with must reproduce the folded value.
 TEST(SymOps, IntegerFoldsMatchZ3Simplify) {
   Z3Env env;
   util::Rng rng(5);
@@ -169,6 +183,32 @@ TEST(SymOps, IntegerFoldsMatchZ3Simplify) {
       EXPECT_TRUE(r.is_numeral()) << r;
       return r.is_numeral() ? r.get_numeral_uint64() : ~std::uint64_t{0};
     };
+    // Solver path, one flip-solver query per op: for every sampled case it
+    // asserts v_i == a (and v_j == b) over fresh variables plus
+    // r == term(v_i, v_j), and the model's r must equal the fold.
+    using SolvedCases = std::vector<std::pair<z3::expr, std::uint64_t>>;
+    const auto bound_var = [&](z3::solver& solver, std::uint64_t value) {
+      const z3::expr v = env.fresh("v", bits);
+      solver.add(v == env.bv(value, bits));
+      return v;
+    };
+    const auto add_case = [&](z3::solver& solver, SolvedCases& cases,
+                              const SymValue& term, std::uint64_t folded) {
+      const z3::expr t = term.expr(env);
+      EXPECT_TRUE(in_qf_bv(t)) << t;
+      const z3::expr r = env.fresh("r", t.get_sort().bv_size());
+      solver.add(r == t);
+      cases.emplace_back(r, folded);
+    };
+    const auto expect_solved = [](z3::solver& solver, const SolvedCases& cases,
+                                  std::string_view name) {
+      ASSERT_EQ(solver.check(), z3::sat) << name;
+      const z3::model model = solver.get_model();
+      for (const auto& [r, folded] : cases) {
+        EXPECT_EQ(model.eval(r, true).get_numeral_uint64(), folded)
+            << name << " " << r;
+      }
+    };
 
     for (const auto& pair : binary_ops) {
       const Opcode op = pair[bits == 32 ? 0 : 1];
@@ -176,12 +216,19 @@ TEST(SymOps, IntegerFoldsMatchZ3Simplify) {
       const z3::expr x = env.var("x", bits);
       const z3::expr y = env.var("y", bits);
       const SymValue term = sym_binary(env, op, {t, x}, {t, y});
+      z3::solver solver =
+          make_flip_solver(env.ctx(), SolverOptions{}.timeout_ms);
+      SolvedCases cases;
       for (const std::uint64_t a : values) {
         for (const std::uint64_t b : values) {
           const SymValue got = sym_binary(env, op, {t, a}, {t, b});
           ASSERT_TRUE(got.is_concrete()) << wasm::op_info(op).name;
           ASSERT_EQ(*got.concrete(), reference(term, {x, y}, {a, b}))
               << wasm::op_info(op).name << " x=" << a << " y=" << b;
+          add_case(solver, cases,
+                   sym_binary(env, op, {t, bound_var(solver, a)},
+                              {t, bound_var(solver, b)}),
+                   *got.concrete());
           // A mixed term keeps the concrete operand as a numeral; it too
           // must reduce to the folded value.
           const SymValue mixed = sym_binary(env, op, {t, x}, {t, b});
@@ -189,6 +236,7 @@ TEST(SymOps, IntegerFoldsMatchZ3Simplify) {
               << wasm::op_info(op).name << " x=" << a << " y=" << b;
         }
       }
+      expect_solved(solver, cases, wasm::op_info(op).name);
     }
 
     for (const Opcode op : unary_ops) {
@@ -196,13 +244,20 @@ TEST(SymOps, IntegerFoldsMatchZ3Simplify) {
       if (width_of(info.operand) != bits) continue;
       const z3::expr x = env.var("x", bits);
       const SymValue term = sym_unary(env, op, {info.operand, x});
+      z3::solver solver =
+          make_flip_solver(env.ctx(), SolverOptions{}.timeout_ms);
+      SolvedCases cases;
       for (const std::uint64_t a : values) {
         const SymValue got = sym_unary(env, op, {info.operand, a});
         ASSERT_TRUE(got.is_concrete()) << info.name;
         ASSERT_EQ(got.type, info.result) << info.name;
         ASSERT_EQ(*got.concrete(), reference(term, {x}, {a}))
             << info.name << " x=" << a;
+        add_case(solver, cases,
+                 sym_unary(env, op, {info.operand, bound_var(solver, a)}),
+                 *got.concrete());
       }
+      expect_solved(solver, cases, info.name);
     }
 
     for (const Opcode op : counting_ops) {
@@ -519,109 +574,6 @@ TEST(Replay, NestedVerificationChainSolvedIteratively) {
   EXPECT_TRUE(tapos_called);
 }
 
-TEST(ParallelSolver, SeedsMatchSerialForAnyThreadCount) {
-  ContractBuilder probe;
-  const auto env = probe.env();
-  // Three independent flippable branches over different parameters, so the
-  // serial solver emits three adaptive seeds in path order.
-  std::vector<Instr> body = {
-      // if (amount == 1337) tapos
-      wasm::local_get(3), wasm::mem_load(Opcode::I64Load),
-      wasm::i64_const(1337), Instr(Opcode::I64Eq), wasm::if_(),
-      wasm::call(env.tapos_block_num), Instr(Opcode::Drop),
-      Instr(Opcode::End),
-      // if (from == lucky) tapos
-      wasm::local_get(1), wasm::i64_const_u(name("lucky").value()),
-      Instr(Opcode::I64Eq), wasm::if_(), wasm::call(env.tapos_block_num),
-      Instr(Opcode::Drop), Instr(Opcode::End),
-      // if (memo[0] == 'x') tapos
-      wasm::local_get(4), wasm::mem_load(Opcode::I32Load8U, /*offset=*/1),
-      wasm::i32_const('x'), Instr(Opcode::I32Eq), wasm::if_(),
-      wasm::call(env.tapos_block_num), Instr(Opcode::Drop),
-      Instr(Opcode::End), Instr(Opcode::End)};
-  ReplayFixture fx(body);
-  const auto& trace = fx.run(default_seed(5, "m"));
-  const ReplayResult r = fx.replay_last(trace);
-  ASSERT_EQ(r.path.size(), 3u);
-
-  const auto serial = solve_flips(fx.env_, r, fx.last_params_);
-  ASSERT_EQ(serial.seeds.size(), 3u);
-  EXPECT_EQ(std::get<abi::Asset>(serial.seeds[0][2]).amount, 1337);
-  EXPECT_EQ(std::get<Name>(serial.seeds[1][0]), name("lucky"));
-  EXPECT_EQ(std::get<std::string>(serial.seeds[2][3])[0], 'x');
-
-  for (const unsigned threads : {1u, 2u, 4u}) {
-    const auto parallel =
-        solve_flips_parallel(fx.env_, r, fx.last_params_, {}, threads);
-    EXPECT_EQ(parallel.queries, serial.queries) << threads << " threads";
-    EXPECT_EQ(parallel.sat, serial.sat);
-    EXPECT_EQ(parallel.unsat, serial.unsat);
-    EXPECT_EQ(parallel.unknown, serial.unknown);
-    ASSERT_EQ(parallel.seeds.size(), serial.seeds.size());
-    // Seed-by-seed, parameter-by-parameter identity with the serial order.
-    for (std::size_t i = 0; i < serial.seeds.size(); ++i) {
-      ASSERT_EQ(parallel.seeds[i].size(), serial.seeds[i].size());
-      for (std::size_t j = 0; j < serial.seeds[i].size(); ++j) {
-        EXPECT_EQ(abi::to_string(parallel.seeds[i][j]),
-                  abi::to_string(serial.seeds[i][j]))
-            << threads << " threads, seed " << i << ", param " << j;
-      }
-    }
-  }
-}
-
-TEST(ParallelSolver, IntraBatchDuplicatesMatchSerialCacheSemantics) {
-  // Two flippable steps with no holds between them carry the same
-  // (prefix, flip) cache key. The serial walk answers the second from the
-  // cache entry the first inserted (one query, one hit); the parallel
-  // pre-pass must deduplicate instead of dispatching both, or each copy
-  // gets an independent, timing-dependent verdict (one can overshoot the
-  // hard cap while the other lands sat) and the counters/seed stream
-  // diverge from serial.
-  Z3Env env;
-  const z3::expr x = env.var("p0", 64);
-  ReplayResult r;
-  PathStep step;
-  step.site = 1;
-  step.can_flip = true;
-  step.taken = false;
-  step.flip = (x == env.bv(5, 64));
-  r.path.push_back(step);
-  step.site = 2;  // identical flip, no hold in between: same query key
-  r.path.push_back(step);
-  r.bindings.push_back(
-      InputBinding{0, InputBinding::Kind::Whole, 0, x});
-  const std::vector<ParamValue> params = {std::uint64_t{0}};
-
-  SolverCache serial_cache(16);
-  SolverOptions serial_opts;
-  serial_opts.cache = &serial_cache;
-  const auto serial = solve_flips(env, r, params, serial_opts);
-  EXPECT_EQ(serial.queries, 1u);
-  EXPECT_EQ(serial.cache_misses, 1u);
-  EXPECT_EQ(serial.cache_hits, 1u);
-  EXPECT_EQ(serial.sat, 2u);
-  ASSERT_EQ(serial.seeds.size(), 2u);
-
-  for (const unsigned threads : {1u, 2u, 4u}) {
-    SolverCache cache(16);
-    SolverOptions opts;
-    opts.cache = &cache;
-    const auto parallel = solve_flips_parallel(env, r, params, opts, threads);
-    EXPECT_EQ(parallel.queries, serial.queries) << threads << " threads";
-    EXPECT_EQ(parallel.cache_hits, serial.cache_hits) << threads;
-    EXPECT_EQ(parallel.cache_misses, serial.cache_misses) << threads;
-    EXPECT_EQ(parallel.sat, serial.sat);
-    ASSERT_EQ(parallel.seeds.size(), serial.seeds.size());
-    for (std::size_t i = 0; i < serial.seeds.size(); ++i) {
-      ASSERT_EQ(parallel.seeds[i].size(), serial.seeds[i].size());
-      EXPECT_EQ(abi::to_string(parallel.seeds[i][0]),
-                abi::to_string(serial.seeds[i][0]))
-          << threads << " threads, seed " << i;
-    }
-  }
-}
-
 TEST(Solver, CancelledTokenAbortsBeforeAnyQuery) {
   ContractBuilder probe;
   ReplayFixture fx(amount_eq_branch_body(probe.env()));
@@ -632,16 +584,10 @@ TEST(Solver, CancelledTokenAbortsBeforeAnyQuery) {
   token->cancel();
   SolverOptions opts;
   opts.cancel = token.get();
-  const auto serial = solve_flips(fx.env_, r, fx.last_params_, opts);
-  EXPECT_TRUE(serial.aborted);
-  EXPECT_EQ(serial.queries, 0u);
-  EXPECT_TRUE(serial.seeds.empty());
-
-  const auto parallel =
-      solve_flips_parallel(fx.env_, r, fx.last_params_, opts, 2);
-  EXPECT_TRUE(parallel.aborted);
-  EXPECT_EQ(parallel.queries, 0u);
-  EXPECT_TRUE(parallel.seeds.empty());
+  const auto aborted = solve_flips(fx.env_, r, fx.last_params_, opts);
+  EXPECT_TRUE(aborted.aborted);
+  EXPECT_EQ(aborted.queries, 0u);
+  EXPECT_TRUE(aborted.seeds.empty());
 }
 
 TEST(Solver, ReportsWallTimeAndRespectsWallBudget) {
@@ -668,8 +614,8 @@ TEST(Solver, ReportsWallTimeAndRespectsWallBudget) {
                                   budgeted.unsat + budgeted.unknown);
 }
 
-// Three flippable branches over different parameters — the workload the
-// perf-layer parity tests below share.
+// Three flippable branches over different parameters, so the solver emits
+// three adaptive seeds in path order.
 std::vector<Instr> three_branch_body(const corpus::EnvImports& env) {
   return {
       // if (amount == 1337) tapos
@@ -701,29 +647,6 @@ void expect_same_seeds(const AdaptiveSeeds& actual,
   }
 }
 
-TEST(Solver, IncrementalMatchesLegacySeedStream) {
-  ContractBuilder probe;
-  ReplayFixture fx(three_branch_body(probe.env()));
-  const auto& trace = fx.run(default_seed(5, "m"));
-  const ReplayResult r = fx.replay_last(trace);
-  ASSERT_EQ(r.path.size(), 3u);
-
-  SolverOptions legacy_opts;
-  legacy_opts.incremental = false;
-  const auto legacy = solve_flips(fx.env_, r, fx.last_params_, legacy_opts);
-  ASSERT_EQ(legacy.seeds.size(), 3u);
-
-  SolverOptions incremental_opts;
-  incremental_opts.incremental = true;
-  const auto incremental =
-      solve_flips(fx.env_, r, fx.last_params_, incremental_opts);
-  EXPECT_EQ(incremental.queries, legacy.queries);
-  EXPECT_EQ(incremental.sat, legacy.sat);
-  EXPECT_EQ(incremental.unsat, legacy.unsat);
-  EXPECT_EQ(incremental.unknown, legacy.unknown);
-  expect_same_seeds(incremental, legacy, "incremental vs legacy");
-}
-
 TEST(Solver, CachedRerunAnswersEveryFlipWithoutZ3) {
   ContractBuilder probe;
   ReplayFixture fx(three_branch_body(probe.env()));
@@ -731,6 +654,10 @@ TEST(Solver, CachedRerunAnswersEveryFlipWithoutZ3) {
   const ReplayResult r = fx.replay_last(trace);
 
   const auto uncached = solve_flips(fx.env_, r, fx.last_params_);
+  ASSERT_EQ(uncached.seeds.size(), 3u);
+  EXPECT_EQ(std::get<abi::Asset>(uncached.seeds[0][2]).amount, 1337);
+  EXPECT_EQ(std::get<Name>(uncached.seeds[1][0]), name("lucky"));
+  EXPECT_EQ(std::get<std::string>(uncached.seeds[2][3])[0], 'x');
 
   SolverCache cache(64);
   SolverOptions opts;
@@ -748,84 +675,6 @@ TEST(Solver, CachedRerunAnswersEveryFlipWithoutZ3) {
   expect_same_seeds(second, first, "second cached vs first");
   EXPECT_EQ(cache.stats().hits, second.cache_hits);
   EXPECT_EQ(cache.stats().entries, first.queries);
-}
-
-TEST(ParallelSolver, SharesCacheAndSeedStreamWithSerial) {
-  ContractBuilder probe;
-  ReplayFixture fx(three_branch_body(probe.env()));
-  const auto& trace = fx.run(default_seed(5, "m"));
-  const ReplayResult r = fx.replay_last(trace);
-
-  SolverCache serial_cache(64);
-  SolverOptions serial_opts;
-  serial_opts.cache = &serial_cache;
-  const auto serial = solve_flips(fx.env_, r, fx.last_params_, serial_opts);
-
-  // A fresh cache populated by the parallel pre-pass/merge must produce
-  // the same stream, then answer a rerun entirely from memory.
-  SolverCache parallel_cache(64);
-  SolverOptions parallel_opts;
-  parallel_opts.cache = &parallel_cache;
-  const auto first =
-      solve_flips_parallel(fx.env_, r, fx.last_params_, parallel_opts, 2);
-  EXPECT_EQ(first.queries, serial.queries);
-  EXPECT_EQ(first.cache_misses, serial.cache_misses);
-  expect_same_seeds(first, serial, "parallel+cache vs serial+cache");
-
-  const auto second =
-      solve_flips_parallel(fx.env_, r, fx.last_params_, parallel_opts, 2);
-  EXPECT_EQ(second.queries, 0u);
-  EXPECT_EQ(second.cache_hits, first.queries);
-  expect_same_seeds(second, first, "parallel rerun from cache");
-
-  // Cross-pollination: a serial walk can consume what the parallel run
-  // cached.
-  const auto cross =
-      solve_flips(fx.env_, r, fx.last_params_, parallel_opts);
-  EXPECT_EQ(cross.queries, 0u);
-  expect_same_seeds(cross, serial, "serial walk over parallel cache");
-}
-
-TEST(ParallelSolver, MergeStopsAtFirstUnattemptedMissUnderCancellation) {
-  ContractBuilder probe;
-  ReplayFixture fx(three_branch_body(probe.env()));
-  const auto& trace = fx.run(default_seed(5, "m"));
-  const ReplayResult r = fx.replay_last(trace);
-
-  // Capacity-1 LRU: a full serial walk leaves only the LAST flip's verdict
-  // cached, so a rerun sees [miss, miss, hit] in path order.
-  SolverCache cache(1);
-  SolverOptions opts;
-  opts.cache = &cache;
-  const auto warm = solve_flips(fx.env_, r, fx.last_params_, opts);
-  ASSERT_EQ(warm.queries, 3u);
-  ASSERT_EQ(cache.stats().entries, 1u);
-
-  // Cancel before any worker dequeues: every miss stays unattempted. The
-  // merge must stop at the FIRST unattempted miss and emit nothing past
-  // it — not even the later cache hit — because the serial walk's abort
-  // break would never have reached that flip either. Emitting it would
-  // fork the adaptive-seed stream between serial and parallel solving.
-  const auto token = util::CancelToken::with_deadline(0);
-  token->cancel();
-  opts.cancel = token.get();
-  const auto aborted =
-      solve_flips_parallel(fx.env_, r, fx.last_params_, opts, 2);
-  EXPECT_TRUE(aborted.aborted);
-  EXPECT_EQ(aborted.queries, 0u);
-  EXPECT_EQ(aborted.cache_hits, 0u);  // the hit lies past the abort point
-  EXPECT_EQ(aborted.sat, 0u);
-  EXPECT_EQ(aborted.unsat, 0u);
-  EXPECT_TRUE(aborted.seeds.empty());
-
-  // Sanity: without cancellation the same cache state merges hits and
-  // fresh verdicts back into the full serial stream.
-  opts.cancel = nullptr;
-  const auto resumed =
-      solve_flips_parallel(fx.env_, r, fx.last_params_, opts, 2);
-  EXPECT_FALSE(resumed.aborted);
-  EXPECT_GE(resumed.cache_hits, 1u);
-  expect_same_seeds(resumed, warm, "post-abort rerun vs warm serial walk");
 }
 
 TEST(Replay, DbApiCallsRecordedWithConcreteArgs) {
