@@ -21,14 +21,15 @@ SymValue EosafeMemory::load(const z3::expr& addr, unsigned size_bytes,
   // solver runs — exactly the imprecision §3.2 describes).
   for (auto it = writes_.rbegin(); it != writes_.rend(); ++it) {
     if (it->size == size_bytes && z3::eq(it->addr, key)) {
-      z3::expr value = it->value;
-      const unsigned have = value.get_sort().bv_size();
-      if (have > target_bits) {
-        value = value.extract(target_bits - 1, 0);
-      } else if (have < target_bits) {
-        value = sign_extend ? z3::sext(value, target_bits - have)
-                            : z3::zext(value, target_bits - have);
-      }
+      // Built as a new value rather than move-assigned over the stored
+      // one, which z3++ would leak (see symbolic::MaybeTerm).
+      const z3::expr& stored = it->value;
+      const unsigned have = stored.get_sort().bv_size();
+      const z3::expr value =
+          have > target_bits   ? stored.extract(target_bits - 1, 0)
+          : have == target_bits ? stored
+          : sign_extend         ? z3::sext(stored, target_bits - have)
+                                : z3::zext(stored, target_bits - have);
       return SymValue{result_type, value.simplify()};
     }
   }

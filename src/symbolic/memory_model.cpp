@@ -15,10 +15,11 @@ void MemoryModel::store(std::uint64_t addr, const SymValue& value,
     return;
   }
   // Widen the expression so byte extraction is uniform.
-  z3::expr e = value.expr(*env_);
-  if (e.get_sort().bv_size() < size_bytes * 8) {
-    e = z3::zext(e, size_bytes * 8 - e.get_sort().bv_size());
-  }
+  const z3::expr v = value.expr(*env_);
+  const unsigned have = v.get_sort().bv_size();
+  const z3::expr e = have < size_bytes * 8
+                         ? z3::zext(v, size_bytes * 8 - have)
+                         : v;
   for (unsigned i = 0; i < size_bytes; ++i) {
     const z3::expr byte = e.extract(i * 8 + 7, i * 8).simplify();
     SymByte b;
@@ -78,15 +79,20 @@ SymValue MemoryModel::load(std::uint64_t addr, unsigned size_bytes,
     return SymValue{result_type, raw};
   }
 
+  // Little-endian concat over ascending addresses, so unknown bytes get
+  // fresh variables in address order. Each step copy-assigns, which
+  // releases the previous partial concat (a move assignment would leak it;
+  // see MaybeTerm).
   z3::expr value = byte_at(addr);
   for (unsigned i = 1; i < size_bytes; ++i) {
-    value = z3::concat(byte_at(addr + i), value);  // little-endian
+    const z3::expr wider = z3::concat(byte_at(addr + i), value);
+    value = wider;
   }
-  if (have < target_bits) {
-    value = sign_extend ? z3::sext(value, target_bits - have)
-                        : z3::zext(value, target_bits - have);
-  }
-  return SymValue{result_type, value.simplify()};
+  if (have >= target_bits) return SymValue{result_type, value.simplify()};
+  const z3::expr extended = sign_extend
+                                ? z3::sext(value, target_bits - have)
+                                : z3::zext(value, target_bits - have);
+  return SymValue{result_type, extended.simplify()};
 }
 
 bool has_variables(const z3::expr& e) {

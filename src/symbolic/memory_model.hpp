@@ -15,7 +15,7 @@ namespace wasai::symbolic {
 /// One tracked memory byte: its concrete value, or an 8-bit term.
 struct SymByte {
   std::uint8_t value = 0;
-  std::optional<z3::expr> term;
+  MaybeTerm term;
 };
 
 class MemoryModel {

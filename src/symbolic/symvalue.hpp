@@ -11,6 +11,7 @@
 
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "eosvm/value.hpp"
 #include "wasm/types.hpp"
@@ -57,6 +58,37 @@ constexpr unsigned width_of(wasm::ValType t) {
   return (t == wasm::ValType::I32 || t == wasm::ValType::F32) ? 32 : 64;
 }
 
+/// A Z3 term or nothing, holding one reference to the term. z3++ 4.8.12's
+/// `ast::operator=(ast&&)` takes the source's reference without releasing
+/// the target's, so a move assignment onto a live `z3::expr` (directly, or
+/// through a `std::optional<z3::expr>`) keeps the old term alive until
+/// `Z3_del_context` sweeps it out of the AST table. The replay's
+/// overwritable term holders (SymValue, SymByte) store their term here, and
+/// this move assignment releases the old term first, so a term is released
+/// when its last holder drops it or is overwritten. A moved-from MaybeTerm
+/// is empty.
+class MaybeTerm {
+ public:
+  MaybeTerm() = default;
+  MaybeTerm(z3::expr term) : term_(std::move(term)) {}
+  MaybeTerm(const MaybeTerm&) = default;
+  MaybeTerm& operator=(const MaybeTerm&) = default;
+  MaybeTerm(MaybeTerm&& other) noexcept { term_.swap(other.term_); }
+  MaybeTerm& operator=(MaybeTerm&& other) noexcept {
+    if (this != &other) {
+      term_.reset();
+      term_.swap(other.term_);
+    }
+    return *this;
+  }
+
+  [[nodiscard]] bool has_value() const { return term_.has_value(); }
+  [[nodiscard]] const z3::expr& operator*() const { return *term_; }
+
+ private:
+  std::optional<z3::expr> term_;
+};
+
 /// One Wasm stack slot under symbolic execution.
 class SymValue {
  public:
@@ -96,7 +128,7 @@ class SymValue {
 
  private:
   std::uint64_t value_ = 0;
-  std::optional<z3::expr> term_;
+  MaybeTerm term_;
 };
 
 /// Lift a concrete runtime value into a SymValue.

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "abi/serializer.hpp"
+#include "baselines/eosafe_memory.hpp"
 #include "chain/controller.hpp"
 #include "corpus/contract_builder.hpp"
 #include "instrument/instrumenter.hpp"
@@ -675,6 +676,135 @@ TEST(Solver, CachedRerunAnswersEveryFlipWithoutZ3) {
   expect_same_seeds(second, first, "second cached vs first");
   EXPECT_EQ(cache.stats().hits, second.cache_hits);
   EXPECT_EQ(cache.stats().entries, first.queries);
+}
+
+// ------------------------------------------------------------ term lifetime
+
+// A holder that overwrites a term must release it. z3++ 4.8.12's move
+// assignment onto a live z3::expr keeps the old term until the context is
+// deleted (see MaybeTerm), which shows as Z3 heap growing with the number
+// of overwrites. Each test below does thousands of overwrites in one Z3Env
+// and bounds the growth of Z3's own allocation counter.
+constexpr std::int64_t kLeakBoundBytes = 1 << 20;
+
+std::int64_t z3_alloc_bytes() {
+  return static_cast<std::int64_t>(Z3_get_estimated_alloc_size());
+}
+
+/// Checks Z3's heap grew less than the bound since `before`, and records
+/// the growth as a test property.
+void expect_bounded_growth(std::int64_t before) {
+  const std::int64_t grown_kb = (z3_alloc_bytes() - before) / 1024;
+  testing::Test::RecordProperty("z3_alloc_growth_kb", std::to_string(grown_kb));
+  EXPECT_LT(grown_kb * 1024, kLeakBoundBytes)
+      << "Z3 heap grew by " << grown_kb << " KB";
+}
+
+TEST(TermLifetime, MaybeTermMoveEmptiesSourceAndSurvivesSelfMove) {
+  Z3Env env;
+  const z3::expr x = env.var("x", 64);
+  MaybeTerm a = x;
+  MaybeTerm& same = a;
+  a = std::move(same);
+  ASSERT_TRUE(a.has_value());
+  EXPECT_TRUE(z3::eq(*a, x));
+  MaybeTerm b = std::move(a);
+  EXPECT_FALSE(a.has_value());
+  b = MaybeTerm{};
+  EXPECT_FALSE(b.has_value());
+}
+
+TEST(TermLifetime, OverwrittenSymValueReleasesItsTerm) {
+  Z3Env env;
+  const z3::expr x = env.var("x", 64);
+  SymValue v{ValType::I64, x};
+  const std::int64_t before = z3_alloc_bytes();
+  for (std::uint64_t i = 1; i <= 20'000; ++i) {
+    v = SymValue{ValType::I64, x * env.bv(i, 64)};
+  }
+  EXPECT_FALSE(v.is_concrete());
+  expect_bounded_growth(before);
+}
+
+TEST(TermLifetime, MemoryStoreOverSymbolicBytesReleasesThem) {
+  Z3Env env;
+  MemoryModel mem(env);
+  const z3::expr x = env.var("x", 64);
+  mem.store(100, SymValue{ValType::I64, x}, 8);
+  const std::int64_t before = z3_alloc_bytes();
+  for (std::uint64_t i = 1; i <= 20'000; ++i) {
+    mem.store(100, SymValue{ValType::I64, x * env.bv(i, 64)}, 8);
+    const SymValue loaded = mem.load(100, 8, false, ValType::I64);
+    ASSERT_FALSE(loaded.is_concrete());
+  }
+  expect_bounded_growth(before);
+}
+
+TEST(TermLifetime, EosafeWidthChangingLoadReleasesItsTerms) {
+  Z3Env env;
+  const z3::expr x = env.var("x", 64);
+  const z3::expr addr = env.bv(64, 32);
+  const std::int64_t before = z3_alloc_bytes();
+  for (std::uint64_t i = 1; i <= 20'000; ++i) {
+    baselines::EosafeMemory mem(env);
+    // i64.store32 then i32.load: the stored term is narrowed.
+    mem.store(addr, x * env.bv(i, 64), 4);
+    const SymValue narrow = mem.load(addr, 4, false, ValType::I32);
+    // i32.store8 then i64.load8_s: the stored term is sign-extended.
+    mem.store(addr + env.bv(8, 32), narrow.expr(env), 1);
+    const SymValue wide =
+        mem.load(addr + env.bv(8, 32), 1, true, ValType::I64);
+    ASSERT_FALSE(wide.is_concrete());
+  }
+  expect_bounded_growth(before);
+}
+
+/// transfer body with extra locals [i64 f, i32 i, i64 acc]. f is a fresh
+/// variable (popcnt has no term, so each replay names a new one), and 40
+/// loop rounds overwrite acc with a new symbolic value over f, store it
+/// over the symbolic bytes of the previous round and load part of it back.
+/// A final symbolic branch on acc puts a term in the path.
+std::vector<Instr> overwrite_loop_body(const corpus::EnvImports& env) {
+  const std::uint32_t f = 5;
+  const std::uint32_t i = 6;
+  const std::uint32_t acc = 7;
+  return {
+      wasm::local_get(3), wasm::mem_load(Opcode::I64Load),
+      Instr(Opcode::I64Popcnt), wasm::local_set(f),
+      wasm::loop(),
+      // acc = f * i + amount
+      wasm::local_get(f), wasm::local_get(i), Instr(Opcode::I64ExtendI32U),
+      Instr(Opcode::I64Mul), wasm::local_get(3),
+      wasm::mem_load(Opcode::I64Load), Instr(Opcode::I64Add),
+      wasm::local_set(acc),
+      // scratch[0..8) = acc; acc = acc + sext(load32(scratch))
+      wasm::i32_const(corpus::kScratchRegion), wasm::local_get(acc),
+      wasm::mem_store(Opcode::I64Store), wasm::local_get(acc),
+      wasm::i32_const(corpus::kScratchRegion),
+      wasm::mem_load(Opcode::I64Load32S), Instr(Opcode::I64Add),
+      wasm::local_set(acc),
+      // while (++i < 40)
+      wasm::local_get(i), wasm::i32_const(1), Instr(Opcode::I32Add),
+      wasm::local_tee(i), wasm::i32_const(40), Instr(Opcode::I32LtU),
+      wasm::br_if(0), Instr(Opcode::End),
+      // if (acc == 1337) tapos
+      wasm::local_get(acc), wasm::i64_const(1337), Instr(Opcode::I64Eq),
+      wasm::if_(), wasm::call(env.tapos_block_num), Instr(Opcode::Drop),
+      Instr(Opcode::End), Instr(Opcode::End)};
+}
+
+TEST(TermLifetime, RepeatedReplayReleasesOverwrittenTerms) {
+  ContractBuilder probe;
+  ReplayFixture fx(overwrite_loop_body(probe.env()),
+                   {ValType::I64, ValType::I32, ValType::I64});
+  const auto& trace = fx.run(default_seed(5));
+  ASSERT_EQ(fx.replay_last(trace).path.size(), 1u);
+  const std::int64_t before = z3_alloc_bytes();
+  for (int k = 0; k < 200; ++k) {
+    const ReplayResult r = fx.replay_last(trace);
+    ASSERT_TRUE(r.completed_scope);
+  }
+  expect_bounded_growth(before);
 }
 
 TEST(Replay, DbApiCallsRecordedWithConcreteArgs) {
