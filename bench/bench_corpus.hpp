@@ -1,9 +1,9 @@
-// Shared corpus for the perf benches (bench_perf_vm, bench_perf_fuzz): the
-// committed `examples/wasm/testgen_<seed>.wasm` modules (regenerated from
-// the seed in the filename), one vulnerable sample per corpus template
+// Shared corpus for the perf benches (bench_perf_vm, bench_perf_static):
+// the committed `examples/wasm/testgen_<seed>.wasm` modules (regenerated
+// from the seed in the filename), one vulnerable sample per corpus template
 // family, and a compute-representative `hotloop` contract. Keeping one
-// definition ensures the two benches measure the same workload and that
-// their fingerprint gates cover identical inputs.
+// definition ensures the benches measure the same workload and that their
+// fingerprint gates cover identical inputs.
 #pragma once
 
 #include <algorithm>

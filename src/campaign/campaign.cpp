@@ -62,8 +62,6 @@ void fill_analysis(ContractRecord& record, const AnalysisResult& result) {
         static_cast<double>(result.details.transactions) /
         (result.details.fuzz_ms / 1000.0);
   }
-  record.fuzz_shards = result.details.fuzz_shards;
-  record.shard_transactions = result.details.shard_transactions;
   if (result.details.static_report.has_value()) {
     const analysis::StaticReport& sr = *result.details.static_report;
     StaticRecord st;

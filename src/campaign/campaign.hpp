@@ -78,7 +78,7 @@ struct StaticRecord {
   bool converged = false;      // dataflow fixpoint reached (facts kept)
   std::size_t passes = 0;      // dataflow passes to fixpoint
   /// Per-oracle static verdicts in scanner::VulnType order; false =
-  /// statically impossible (the scanner gate counts any contradiction).
+  /// statically impossible (a finding for one counts in gate_violations).
   std::array<bool, analysis::kNumOracles> oracle_possible{};
   // Branch classification table counts (see analysis::BranchClass).
   std::size_t constant_branches = 0;
@@ -88,7 +88,7 @@ struct StaticRecord {
   // Dynamic effect of the gates over the whole run:
   std::size_t flips_pruned = 0;     // flip queries skipped by the gate
   std::size_t replays_skipped = 0;  // feedback replays skipped wholesale
-  std::size_t gate_violations = 0;  // findings contradicting a verdict (0!)
+  std::size_t gate_violations = 0;  // found oracles contradicting one (0!)
   double analyze_ms = 0;            // static pass wall time
 };
 
@@ -129,10 +129,6 @@ struct ContractRecord {
   std::size_t solver_cache_evictions = 0;
   /// Fuzz throughput: transactions per second of fuzz-loop wall time.
   double transactions_per_sec = 0;
-  /// Shard lanes the fuzz loop ran (1 = serial loop) and the per-lane
-  /// transaction counts (sum to `transactions`).
-  std::size_t fuzz_shards = 1;
-  std::vector<std::size_t> shard_transactions;
   /// Static pre-analysis block; disengaged under --no-static (and for
   /// records parsed from pre-static JSONL streams).
   std::optional<StaticRecord> static_record;

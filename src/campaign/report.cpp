@@ -105,11 +105,6 @@ Json record_to_json(const ContractRecord& record) {
   out.emplace("iterations", num(record.iterations_run));
   out.emplace("transactions", num(record.transactions));
   out.emplace("transactions_per_sec", num(record.transactions_per_sec));
-  out.emplace("fuzz_shards", num(record.fuzz_shards));
-  JsonArray shard_tx;
-  shard_tx.reserve(record.shard_transactions.size());
-  for (const auto n : record.shard_transactions) shard_tx.emplace_back(num(n));
-  out.emplace("shard_transactions", Json(std::move(shard_tx)));
   out.emplace("branches", num(record.distinct_branches));
   out.emplace("adaptive_seeds", num(record.adaptive_seeds));
   out.emplace("replays", num(record.replays));
@@ -170,15 +165,6 @@ ContractRecord record_from_json(const Json& json) {
   record.iterations_run = static_cast<int>(get_num(json, "iterations"));
   record.transactions = get_size(json, "transactions");
   record.transactions_per_sec = get_num(json, "transactions_per_sec");
-  // Pre-shard streams carry neither key; they were single-lane serial runs.
-  record.fuzz_shards =
-      json.find("fuzz_shards") != nullptr ? get_size(json, "fuzz_shards") : 1;
-  if (const Json* shard_tx = json.find("shard_transactions")) {
-    for (const Json& n : shard_tx->as_array()) {
-      record.shard_transactions.push_back(
-          static_cast<std::size_t>(n.as_number()));
-    }
-  }
   record.distinct_branches = get_size(json, "branches");
   record.adaptive_seeds = get_size(json, "adaptive_seeds");
   record.replays = get_size(json, "replays");

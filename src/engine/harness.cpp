@@ -189,40 +189,4 @@ void ChainHarness::accumulate_branches(
   }
 }
 
-void ChainHarness::fresh_branch_keys(std::unordered_set<std::uint64_t>& seen,
-                                     std::vector<std::uint64_t>& out) const {
-  for (const auto* trace : victim_traces()) {
-    for (const auto& ev : trace->events) {
-      if (ev.kind != instrument::EventKind::Instr || ev.nvals != 1) continue;
-      if (site_index_.site(ev.site).is_branch) {
-        const std::uint64_t key =
-            (static_cast<std::uint64_t>(ev.site) << 1) |
-            (ev.val(0).truthy() ? 1 : 0);
-        if (seen.insert(key).second) out.push_back(key);
-      }
-    }
-  }
-}
-
-ChainHarness::ChainHarness(const ChainHarness& base, obs::Obs* obs)
-    : names_(base.names_),
-      chain_(base.chain_),  // deep-copies databases; shares immutable code
-      original_(base.original_),
-      sites_(base.sites_),
-      // Rebuilt (not copied) so the index aliases THIS clone's module, not
-      // the base's — the clone is self-contained whatever outlives what.
-      site_index_(sites_, original_),
-      abi_(base.abi_),
-      last_params_(base.last_params_),
-      dynamic_senders_(base.dynamic_senders_),
-      funded_(base.funded_) {
-  chain_.set_observer(&sink_);
-  chain_.set_obs(obs);
-}
-
-std::unique_ptr<ChainHarness> ChainHarness::clone_for_shard(
-    obs::Obs* obs) const {
-  return std::unique_ptr<ChainHarness>(new ChainHarness(*this, obs));
-}
-
 }  // namespace wasai::engine

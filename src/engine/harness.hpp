@@ -34,6 +34,9 @@ class ChainHarness {
   ChainHarness(const util::Bytes& contract_wasm, abi::Abi abi,
                HarnessNames names = {}, obs::Obs* obs = nullptr,
                bool vm_fastpath = true);
+  /// Not copyable: the chain reports to this harness's own trace sink.
+  ChainHarness(const ChainHarness&) = delete;
+  ChainHarness& operator=(const ChainHarness&) = delete;
 
   [[nodiscard]] const HarnessNames& names() const { return names_; }
   [[nodiscard]] chain::Controller& chain() { return chain_; }
@@ -77,33 +80,11 @@ class ChainHarness {
   /// Fold the last run's distinct (branch site, direction) keys into `out`.
   void accumulate_branches(std::unordered_set<std::uint64_t>& out) const;
 
-  /// Shard-friendly variant: append the last run's branch keys that are not
-  /// yet in `seen` to `out` (and record them in `seen`). Letting each shard
-  /// keep a private cumulative `seen` set makes the coordinator's merge a
-  /// walk over first occurrences only — the merged global set is identical
-  /// to what accumulate_branches would build, because `seen` only ever
-  /// filters keys this harness already emitted.
-  void fresh_branch_keys(std::unordered_set<std::uint64_t>& seen,
-                         std::vector<std::uint64_t>& out) const;
-
-  /// Deep-copy this harness for a fuzz shard: the chain state (databases,
-  /// deferred queue, block clock) is snapshotted, immutable code (modules,
-  /// flattened streams, native contract objects — all stateless) is shared,
-  /// and the clone gets its own TraceSink and the given observability track
-  /// (may be null). Payload runs on the clone and on the source are fully
-  /// independent afterwards.
-  [[nodiscard]] std::unique_ptr<ChainHarness> clone_for_shard(
-      obs::Obs* obs) const;
-
   /// Enable the dynamic address pool: payload senders follow the seed's
   /// `from` parameter, creating and funding local accounts on demand.
   void set_dynamic_senders(bool enabled) { dynamic_senders_ = enabled; }
 
  private:
-  /// Shard-clone constructor: everything but the sink and observability
-  /// track is copied from `base`; see clone_for_shard.
-  ChainHarness(const ChainHarness& base, obs::Obs* obs);
-
   /// Sender account for a payload: the attacker, or (with the address pool
   /// enabled) the seed's `from` name, created and funded on first use.
   abi::Name sender_for(const Seed& seed);

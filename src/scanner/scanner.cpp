@@ -96,7 +96,6 @@ Report Scanner::report() const {
   // Fake Notif verdict: the eosponser ran on a forged notification and no
   // guard comparison was observed before timeout.
   if (eosponser_ran_on_fake_notif_ && !fake_notif_guard_seen_) {
-    if (!gate_.allows(VulnType::FakeNotif)) ++gate_violations_;
     out.found.insert(VulnType::FakeNotif);
     out.findings.push_back(
         Finding{VulnType::FakeNotif,
@@ -108,9 +107,6 @@ Report Scanner::report() const {
 }
 
 void Scanner::add(VulnType type, std::string detail) {
-  // A gated (statically impossible) oracle firing is a conservatism
-  // violation: record it, but never suppress the finding.
-  if (!gate_.allows(type)) ++gate_violations_;
   if (report_.found.insert(type).second) {
     report_.findings.push_back(Finding{type, std::move(detail)});
   }

@@ -3,7 +3,6 @@
 // decides, per vulnerability class, whether an exploit event occurred.
 #pragma once
 
-#include <array>
 #include <optional>
 #include <set>
 #include <string>
@@ -44,21 +43,6 @@ struct Finding {
   std::string detail;
 };
 
-/// Static pre-analysis verdicts lowered onto the scanner: a false entry
-/// marks that oracle as statically impossible on the analyzed module.
-/// Gating is deliberately non-suppressive — a finding for a gated oracle
-/// is still reported (soundness first), but it increments the violation
-/// counter, which the soundness tests and the static-analysis CI job gate
-/// on being zero. Defaults to all-possible (no gate).
-struct OracleGate {
-  std::array<bool, 5> possible{true, true, true, true, true};
-
-  [[nodiscard]] bool allows(VulnType t) const {
-    return possible[static_cast<std::size_t>(t)];
-  }
-  void forbid(VulnType t) { possible[static_cast<std::size_t>(t)] = false; }
-};
-
 struct Report {
   std::set<VulnType> found;
   std::vector<Finding> findings;
@@ -77,16 +61,6 @@ class Scanner {
 
   explicit Scanner(Config config) : config_(config) {}
 
-  /// Install the static pre-analysis gate (see OracleGate).
-  void set_gate(OracleGate gate) { gate_ = gate; }
-
-  /// Findings that fired for an oracle the static analysis declared
-  /// impossible. Always zero when the analysis is sound (or no gate is
-  /// set); a non-zero value is a conservatism-contract violation.
-  [[nodiscard]] std::size_t gate_violations() const {
-    return gate_violations_;
-  }
-
   /// Feed one trace of the victim contract, produced under `mode`.
   /// `action` is the action name that reached the victim.
   void observe(PayloadMode mode, abi::Name action, const TraceFacts& facts,
@@ -103,10 +77,6 @@ class Scanner {
   void add(VulnType type, std::string detail);
 
   Config config_;
-  OracleGate gate_;
-  /// Mutable: report() is const but must account a FakeNotif verdict that
-  /// contradicts the gate.
-  mutable std::size_t gate_violations_ = 0;
   std::optional<std::uint32_t> eosponser_id_;
   bool eosponser_ran_on_fake_notif_ = false;
   bool fake_notif_guard_seen_ = false;

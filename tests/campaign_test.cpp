@@ -477,33 +477,61 @@ TEST(Campaign, RecordJsonRoundTripsByteIdentically) {
   }
 }
 
-TEST(Campaign, ShardedFuzzRecordsCarryPerLaneCounts) {
+TEST(Campaign, RecordsWithLaneCountsStillParseAndResume) {
+  namespace fs = std::filesystem;
+  // A record line as written while the fuzz loop still had lanes: it
+  // carries the lane count and per-lane transaction keys.
+  const std::string old_line =
+      R"({"adaptive_seeds":2,"attempts":1,"branches":4,)"
+      R"("coverage_curve":[[0,0.784095,4],[1,3.841647,4]],)"
+      R"("custom_findings":[],"digest":"f904e73caec8376f","findings":)"
+      R"([{"detail":"eosponser invoked directly without a code check",)"
+      R"("type":"Fake EOS"}],"fuzz_shards":2,"id":"fake-eos",)"
+      R"("iterations":2,"replay_failures":0,"replays":2,)"
+      R"("shard_transactions":[1,1],"solver":{"cache_evictions":0,)"
+      R"("cache_hits":1,"cache_misses":1,"queries":1,"sat":2,"sat_late":0,)"
+      R"("unknown":0,"unsat":0},"static":{"analyze_ms":0.321955,)"
+      R"("branch_classes":{"constant":0,"taint_reachable":4,)"
+      R"("unreachable":0,"untainted":1},"converged":true,"flips_pruned":0,)"
+      R"("gate_violations":0,"oracles":{"BlockinfoDep":false,)"
+      R"("Fake EOS":true,"Fake Notif":true,"MissAuth":true,)"
+      R"("Rollback":false},"passes":1,"replays_skipped":0},"status":"ok",)"
+      R"("timings":{"fuzz_ms":4.170547,"init_ms":15.85761,)"
+      R"("load_ms":0.269716,"solver_ms":2.485635,"total_ms":22.495347},)"
+      R"("transactions":2,"transactions_per_sec":479.5534015082434})";
+
+  // It still parses.
+  const ContractRecord old = record_from_json(util::parse_json(old_line));
+  EXPECT_EQ(old.id, "fake-eos");
+  EXPECT_EQ(old.digest, "f904e73caec8376f");
+  EXPECT_EQ(old.status, ContractStatus::Ok);
+  EXPECT_EQ(old.transactions, 2u);
+  EXPECT_TRUE(old.scan.has(scanner::VulnType::FakeEos));
+
+  // The resume merge keeps the line byte for byte and skips its contract.
+  const fs::path path =
+      fs::temp_directory_path() / "wasai_resume_lane_counts_test.jsonl";
+  {
+    std::ofstream out(path, std::ios::trunc | std::ios::binary);
+    out << old_line << '\n';
+  }
+  const ResumeState state = load_resume_state(path.string());
+  fs::remove(path);
+  EXPECT_FALSE(state.torn_tail);
+  EXPECT_EQ(state.dropped, 0u);
+  ASSERT_EQ(state.kept_lines.size(), 1u);
+  EXPECT_EQ(state.kept_lines[0], old_line);
+  EXPECT_EQ(state.skip_digests.count(old.digest), 1u);
+
+  // New records emit neither key.
   Rng rng(11);
   const auto sample = corpus::make_fake_eos_sample(rng, true);
-  auto options = quick_options();
-  options.fuzz.fuzz_shards = 2;
-  CampaignRunner runner(options);
+  CampaignRunner runner(quick_options());
   const auto report = runner.run({from_sample("fake-eos", sample)});
-
   ASSERT_EQ(report.records.size(), 1u);
-  const auto& record = report.records[0];
-  EXPECT_EQ(record.fuzz_shards, 2u);
-  ASSERT_EQ(record.shard_transactions.size(), 2u);
-  EXPECT_EQ(record.shard_transactions[0] + record.shard_transactions[1],
-            record.transactions);
-
-  // The JSONL line carries the shard fields and round-trips them.
-  const std::string dumped = util::dump_json(record_to_json(record));
-  const ContractRecord reparsed = record_from_json(util::parse_json(dumped));
-  EXPECT_EQ(util::dump_json(record_to_json(reparsed)), dumped);
-  EXPECT_EQ(reparsed.fuzz_shards, 2u);
-  EXPECT_EQ(reparsed.shard_transactions, record.shard_transactions);
-
-  // Pre-shard record streams (no such keys) parse as single-lane serial.
-  const ContractRecord legacy = record_from_json(
-      util::parse_json(R"({"id":"old","status":"ok","attempts":1})"));
-  EXPECT_EQ(legacy.fuzz_shards, 1u);
-  EXPECT_TRUE(legacy.shard_transactions.empty());
+  const auto fresh = record_to_json(report.records[0]);
+  EXPECT_EQ(fresh.find("fuzz_shards"), nullptr);
+  EXPECT_EQ(fresh.find("shard_transactions"), nullptr);
 }
 
 TEST(Campaign, ResumeAfterTornStreamMergesWithoutReanalysis) {

@@ -383,8 +383,8 @@ TEST(Database, IterationOrder) {
 }
 
 TEST(Database, SnapshotRestoreRoundTripPreservesIterationOrder) {
-  // Transaction atomicity and shard cloning both rely on Database being a
-  // plain value type: a copy taken before mutations must restore the exact
+  // Transaction atomicity and Controller copies both rely on Database being
+  // a plain value type: a copy taken before mutations must restore the exact
   // row set AND the exact lower_bound/next walk order afterwards.
   Database db;
   const TableKey accounts{1, 100};
@@ -544,7 +544,7 @@ TEST(WasmContract, TrapRevertsDbWrites) {
   EXPECT_TRUE(db == nullptr || db->empty());
 }
 
-/// Contract for the shard-clone atomicity test. Each `seed*` action
+/// Contract for the Controller-copy atomicity test. Each `seed*` action
 /// commits one row to table (scope 0, table 1); `boom` stores pk 20 and
 /// then asserts false, so its write must never become visible.
 util::Bytes build_seeded_db_contract() {
@@ -603,11 +603,10 @@ util::Bytes build_seeded_db_contract() {
 }
 
 TEST(WasmContract, FailedTransactionLeavesNoPartialRowsInShardClone) {
-  // The sharded fuzzer gives each lane its own chain by copying the
-  // Controller after setup. A transaction that traps midway rolls back
-  // before any such copy can be taken, so a clone must see only committed
-  // rows — in the committed iteration order — and writes made on the clone
-  // must never surface in the original.
+  // Copying a Controller snapshots the whole chain. A transaction that
+  // traps midway rolls back before any such copy can be taken, so a copy
+  // must see only committed rows — in the committed iteration order — and
+  // writes made on the copy must never surface in the original.
   Controller chain;
   const Name c = name("shardclone");
   abi::Abi abi;

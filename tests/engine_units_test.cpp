@@ -1,8 +1,10 @@
 // Engine unit tests: seed pools (circularity, priority, peek, trim),
-// the mutator, and the database dependency graph.
+// the mutator, the database dependency graph, and the count of findings
+// that contradict a static oracle verdict.
 #include <gtest/gtest.h>
 
 #include "engine/dbg.hpp"
+#include "engine/fuzzer.hpp"
 #include "engine/mutator.hpp"
 #include "engine/seed.hpp"
 
@@ -185,6 +187,26 @@ TEST(Dbg, WriterForIgnoresSelfWrites) {
               api("db_store_i64", {0, table, 1, 1}, 0, env)});
   // Only the action itself writes the table: no external writer available.
   EXPECT_FALSE(dbg.writer_for(name("selfloop")).has_value());
+}
+
+// ------------------------------------------- static oracle contradictions
+
+TEST(OracleContradictions, FindingForImpossibleOracleCounts) {
+  analysis::StaticReport static_report;
+  static_report.oracles[static_cast<std::size_t>(analysis::Oracle::Rollback)]
+      .possible = false;
+  const auto scan_of = [](scanner::VulnType type) {
+    scanner::Report scan;
+    scan.found.insert(type);
+    scan.findings.push_back(scanner::Finding{type, "planted"});
+    return scan;
+  };
+  EXPECT_EQ(count_contradicted_oracles(scan_of(scanner::VulnType::Rollback),
+                                       static_report),
+            1u);
+  EXPECT_EQ(count_contradicted_oracles(scan_of(scanner::VulnType::FakeEos),
+                                       static_report),
+            0u);
 }
 
 }  // namespace

@@ -269,14 +269,14 @@ TEST(Property, ValidatorNeverAcceptsWhatDecoderRejects) {
   EXPECT_GT(rejected, 0);
 }
 
-// ------------------------------------------- shard rng & coverage curve
+// ------------------------------------------- forked rng & coverage curve
 
 TEST(Property, ForkedStreamsAreDeterministicAndPairwiseDistinct) {
-  // The sharded fuzz loop derives lane k's mutator and seed-selection
-  // streams with Rng::fork(k). Determinism of that derivation (same seed,
-  // same salt -> same stream) is what makes a fixed --fuzz-shards N run
-  // reproducible; pairwise distinctness is what keeps the lanes from
-  // mutating in lockstep.
+  // The dataset builder and the testgen generator derive one child stream
+  // per sample, helper or action with Rng::fork(salt). Determinism of that
+  // derivation (same seed, same salt -> same stream) is what makes a corpus
+  // reproducible from its seed; pairwise distinctness is what keeps sibling
+  // samples from being generated in lockstep.
   const auto prefix = [](Rng rng, int n) {
     std::vector<std::uint64_t> out;
     out.reserve(static_cast<std::size_t>(n));
@@ -310,36 +310,31 @@ TEST(Property, ForkedStreamsAreDeterministicAndPairwiseDistinct) {
 }
 
 TEST(Property, MergedCoverageCurveIsMonotonic) {
-  // Per-lane fresh-branch sets merge into the report curve in shard-index
-  // order; whatever the lane count, the merged curve must record one point
-  // per iteration, strictly increasing iteration numbers, a non-decreasing
+  // Each iteration folds its branch keys into the run's coverage set and
+  // appends one curve point: the curve must record one point per
+  // iteration, strictly increasing iteration numbers, a non-decreasing
   // cumulative branch count, and a final value equal to distinct_branches.
   Rng seeds(20260807);
   for (int round = 0; round < 3; ++round) {
     const std::uint64_t seed = seeds.next();
     const auto gen = testgen::generate(seed);
     const auto binary = wasm::encode(gen.module);
-    for (const int shards : {0, 1, 2, 4}) {
-      engine::FuzzOptions options;
-      options.iterations = 16;
-      options.rng_seed = 1;
-      options.fuzz_shards = shards;
-      engine::Fuzzer fuzzer(binary, gen.abi, options);
-      const auto report = fuzzer.run();
-      ASSERT_EQ(report.curve.size(), 16u)
-          << "seed " << seed << " shards " << shards;
-      for (std::size_t i = 1; i < report.curve.size(); ++i) {
-        EXPECT_GT(report.curve[i].iteration, report.curve[i - 1].iteration)
-            << "seed " << seed << " shards " << shards << " point " << i;
-        EXPECT_GE(report.curve[i].branches, report.curve[i - 1].branches)
-            << "seed " << seed << " shards " << shards << " point " << i;
-        EXPECT_GE(report.curve[i].elapsed_ms,
-                  report.curve[i - 1].elapsed_ms)
-            << "seed " << seed << " shards " << shards << " point " << i;
-      }
-      EXPECT_EQ(report.curve.back().branches, report.distinct_branches)
-          << "seed " << seed << " shards " << shards;
+    engine::FuzzOptions options;
+    options.iterations = 16;
+    options.rng_seed = 1;
+    engine::Fuzzer fuzzer(binary, gen.abi, options);
+    const auto report = fuzzer.run();
+    ASSERT_EQ(report.curve.size(), 16u) << "seed " << seed;
+    for (std::size_t i = 1; i < report.curve.size(); ++i) {
+      EXPECT_GT(report.curve[i].iteration, report.curve[i - 1].iteration)
+          << "seed " << seed << " point " << i;
+      EXPECT_GE(report.curve[i].branches, report.curve[i - 1].branches)
+          << "seed " << seed << " point " << i;
+      EXPECT_GE(report.curve[i].elapsed_ms, report.curve[i - 1].elapsed_ms)
+          << "seed " << seed << " point " << i;
     }
+    EXPECT_EQ(report.curve.back().branches, report.distinct_branches)
+        << "seed " << seed;
   }
 }
 

@@ -17,9 +17,6 @@
 //   --solver-cache-capacity N
 //                     cached verdicts kept per contract (default 4096)
 //   --no-fastpath     legacy VM interpreter (A/B perf baseline)
-//   --fuzz-shards N   batch-synchronous sharded fuzzing inside each
-//                     contract, over N cloned chain snapshots (composes
-//                     with --jobs; 1 matches the serial loop byte for byte)
 //   --no-static       disable the static pre-analysis pass (per-record
 //                     `static` blocks disappear; findings are identical)
 //   --static-prioritize
@@ -92,8 +89,7 @@ int usage() {
       "  wasai-campaign run <corpus-dir> [--jobs N] [--iterations N]\n"
       "        [--seed N] [--deadline-ms N] [--hung-grace N] [--retries N]\n"
       "        [--no-solver-cache] [--solver-cache-capacity N]\n"
-      "        [--no-fastpath]\n"
-      "        [--fuzz-shards N] [--no-static] [--static-prioritize]\n"
+      "        [--no-fastpath] [--no-static] [--static-prioritize]\n"
       "        [--out FILE] [--resume FILE] [--summary FILE]\n"
       "        [--findings-only] [--trace-out FILE] [--no-obs]\n"
       "  wasai-campaign check-trace <trace.json>\n");
@@ -132,8 +128,6 @@ int cmd_run(int argc, char** argv) {
           static_cast<std::size_t>(std::atoll(argv[++i]));
     } else if (arg == "--no-fastpath") {
       options.fuzz.vm_fastpath = false;
-    } else if (arg == "--fuzz-shards" && i + 1 < argc) {
-      options.fuzz.fuzz_shards = std::atoi(argv[++i]);
     } else if (arg == "--no-static") {
       options.fuzz.static_analysis = false;
     } else if (arg == "--static-prioritize") {

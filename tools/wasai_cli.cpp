@@ -13,11 +13,8 @@
 //                        cached verdicts kept (default 4096)
 //   --no-fastpath        legacy VM interpreter (A/B perf baseline; output
 //                        is byte-identical to the default fast path)
-//   --fuzz-shards N      batch-synchronous sharded fuzzing over N cloned
-//                        chain snapshots (1 is byte-identical to the
-//                        default serial loop; any fixed N is deterministic)
 //   --no-static          disable the static pre-analysis pass (flip-query
-//                        pruning + oracle gating off; verdicts and the
+//                        pruning + oracle verdicts off; verdicts and the
 //                        fingerprint are identical either way — A/B switch)
 //   --static-prioritize  let statically pruned flips free their budget
 //                        slots so deeper taint-reachable flips are reached
@@ -72,7 +69,7 @@ int usage() {
       "  wasai analyze <contract.wasm> <contract.abi> [--iterations N]\n"
       "        [--seed N] [--no-feedback] [--no-solver-cache]\n"
       "        [--solver-cache-capacity N]\n"
-      "        [--no-fastpath] [--fuzz-shards N] [--no-static]\n"
+      "        [--no-fastpath] [--no-static]\n"
       "        [--static-prioritize] [--address-pool]\n"
       "        [--trace-out FILE]\n"
       "        [--obs-trace FILE] [--no-obs]\n"
@@ -126,8 +123,6 @@ int cmd_analyze(int argc, char** argv) {
           static_cast<std::size_t>(std::atoll(argv[++i]));
     } else if (arg == "--no-fastpath") {
       options.fuzz.vm_fastpath = false;
-    } else if (arg == "--fuzz-shards" && i + 1 < argc) {
-      options.fuzz.fuzz_shards = std::atoi(argv[++i]);
     } else if (arg == "--no-static") {
       options.fuzz.static_analysis = false;
     } else if (arg == "--static-prioritize") {
