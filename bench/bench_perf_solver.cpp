@@ -69,7 +69,6 @@ struct ConfigTotals {
   std::size_t transactions = 0;
   std::size_t queries = 0;
   std::size_t sat = 0;
-  std::size_t sat_late = 0;
   std::size_t unsat = 0;
   std::size_t unknown = 0;
   std::size_t cache_hits = 0;
@@ -157,7 +156,6 @@ ConfigTotals run_config(const std::vector<Contract>& corpus,
     totals.transactions += d.transactions;
     totals.queries += d.solver_queries;
     totals.sat += d.solver_sat;
-    totals.sat_late += d.solver_sat_late;
     totals.unsat += d.solver_unsat;
     totals.unknown += d.solver_unknown;
     totals.cache_hits += d.solver_cache_hits;
@@ -182,7 +180,6 @@ util::Json totals_to_json(const ConfigTotals& t) {
   out.emplace("transactions", num(t.transactions));
   out.emplace("queries", num(t.queries));
   out.emplace("sat", num(t.sat));
-  out.emplace("sat_late", num(t.sat_late));
   out.emplace("unsat", num(t.unsat));
   out.emplace("unknown", num(t.unknown));
   out.emplace("cache_hits", num(t.cache_hits));

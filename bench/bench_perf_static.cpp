@@ -1,7 +1,6 @@
 // Static pre-analysis performance suite: runs the shared perf corpus
-// through the full concolic pipeline with the static pass off (baseline),
-// on (the default configuration) and on with --static-prioritize, and
-// writes BENCH_static.json.
+// through the full concolic pipeline with the static pass off (baseline)
+// and on (the default configuration), and writes BENCH_static.json.
 //
 // What it measures, per configuration and corpus-wide:
 //   * per-contract static analysis cost (analyze_ms; also reported as the
@@ -15,11 +14,10 @@
 // identical per-contract fingerprints — findings, transactions, coverage,
 // adaptive seeds AND a digest of the final captured trace bytes — and zero
 // oracle-gate violations. The static pass is advertised as verdict- and
-// fingerprint-neutral; ANY divergence fails the bench (exit 1). The
-// prioritize configuration legitimately reschedules the flip budget, so it
-// is measured but not parity-gated. `pruned_ok` additionally reports
-// whether the gate removed any solver work at all on this corpus (recorded
-// in the JSON, not an exit criterion: the committed corpus evolves).
+// fingerprint-neutral; ANY divergence fails the bench (exit 1). `pruned_ok`
+// additionally reports whether the gate removed any solver work at all on
+// this corpus (recorded in the JSON, not an exit criterion: the committed
+// corpus evolves).
 //
 // Knobs: WASAI_BENCH_ITERATIONS (default 24 rounds per contract),
 // WASAI_BENCH_OUT (default BENCH_static.json in the working directory).
@@ -47,7 +45,6 @@ using bench::Fingerprint;
 struct Config {
   std::string name;
   bool static_analysis;
-  bool static_prioritize;
 };
 
 struct ConfigTotals {
@@ -71,7 +68,6 @@ ConfigTotals run_config(const std::vector<Contract>& corpus,
     options.iterations = iterations;
     options.rng_seed = 1;
     options.static_analysis = config.static_analysis;
-    options.static_prioritize = config.static_prioritize;
     engine::Fuzzer fuzzer(contract.wasm, contract.abi, options);
     const auto report = fuzzer.run();
 
@@ -126,9 +122,8 @@ int main() {
               corpus.size(), iterations);
 
   const Config configs[] = {
-      {"baseline", false, false},
-      {"static", true, false},
-      {"static-prioritize", true, true},
+      {"baseline", false},
+      {"static", true},
   };
 
   std::map<std::string, ConfigTotals> totals;

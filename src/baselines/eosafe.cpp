@@ -11,6 +11,10 @@ namespace wasai::baselines {
 
 namespace {
 
+/// Z3 resource units (`rlimit`) per feasibility check. The largest check on
+/// the Table 4/5/6 corpora uses about 2,500 (DESIGN.md, "Determinism").
+constexpr unsigned kFeasibilityRlimit = 50'000;
+
 using scanner::VulnType;
 using symbolic::SymValue;
 using symbolic::Z3Env;
@@ -80,7 +84,8 @@ class SeExplorer {
         steps_used_(steps_used),
         solver_(env.ctx()) {
     z3::params p(env.ctx());
-    p.set("timeout", options.solver_timeout_ms);
+    p.set("rlimit", kFeasibilityRlimit);
+    p.set("ctrl_c", false);  // keep the process's SIGINT handler
     solver_.set(p);
   }
 

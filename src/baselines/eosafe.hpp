@@ -22,9 +22,8 @@
 namespace wasai::baselines {
 
 struct EosafeOptions {
-  std::size_t step_budget = 2500;   // total symbolic steps per contract
-  std::size_t path_budget = 64;     // max completed paths per function
-  unsigned solver_timeout_ms = 20;  // per feasibility query
+  std::size_t step_budget = 2500;  // total symbolic steps per contract
+  std::size_t path_budget = 64;    // max completed paths per function
 };
 
 struct EosafeReport {

@@ -51,7 +51,6 @@ void fill_analysis(ContractRecord& record, const AnalysisResult& result) {
   record.replay_failures = result.details.replay_failures;
   record.solver_queries = result.details.solver_queries;
   record.solver_sat = result.details.solver_sat;
-  record.solver_sat_late = result.details.solver_sat_late;
   record.solver_unsat = result.details.solver_unsat;
   record.solver_unknown = result.details.solver_unknown;
   record.solver_cache_hits = result.details.solver_cache_hits;

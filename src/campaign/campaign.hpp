@@ -121,6 +121,9 @@ struct ContractRecord {
   std::size_t replay_failures = 0;
   std::size_t solver_queries = 0;
   std::size_t solver_sat = 0;
+  /// Always 0 and not serialized: flip checks run under a fixed resource
+  /// budget, so no sat verdict arrives late any more. Kept because the
+  /// end-to-end benchmark still reads it.
   std::size_t solver_sat_late = 0;
   std::size_t solver_unsat = 0;
   std::size_t solver_unknown = 0;

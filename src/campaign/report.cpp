@@ -87,7 +87,6 @@ Json record_to_json(const ContractRecord& record) {
   JsonObject solver;
   solver.emplace("queries", num(record.solver_queries));
   solver.emplace("sat", num(record.solver_sat));
-  solver.emplace("sat_late", num(record.solver_sat_late));
   solver.emplace("unsat", num(record.solver_unsat));
   solver.emplace("unknown", num(record.solver_unknown));
   solver.emplace("cache_hits", num(record.solver_cache_hits));
@@ -172,7 +171,6 @@ ContractRecord record_from_json(const Json& json) {
   if (const Json* solver = json.find("solver")) {
     record.solver_queries = get_size(*solver, "queries");
     record.solver_sat = get_size(*solver, "sat");
-    record.solver_sat_late = get_size(*solver, "sat_late");
     record.solver_unsat = get_size(*solver, "unsat");
     record.solver_unknown = get_size(*solver, "unknown");
     record.solver_cache_hits = get_size(*solver, "cache_hits");

@@ -271,23 +271,15 @@ void Fuzzer::feedback_trace(const instrument::ActionTrace& trace) {
         symbolic::replay(env_, h.original(), h.sites(), trace, *site, *def,
                          h.last_params(), /*observer=*/nullptr, options_.obs);
     dbg_.record(trace.action, replayed.api_calls);
-    symbolic::SolverOptions solver_opts = options_.solver;
-    if (solver_opts.cancel == nullptr) {
-      solver_opts.cancel = options_.cancel.get();
-    }
-    if (solver_opts.cache == nullptr) {
-      solver_opts.cache = solver_cache_.get();
-    }
-    if (solver_opts.obs == nullptr) solver_opts.obs = options_.obs;
-    if (!flip_gate_.empty() && solver_opts.prune_flip_sites == nullptr) {
-      solver_opts.prune_flip_sites = &flip_gate_;
-      solver_opts.pruned_flips_free_budget = options_.static_prioritize;
-    }
+    symbolic::SolverOptions solver_opts;
+    solver_opts.cache = solver_cache_.get();
+    solver_opts.prune_flip_sites = &flip_gate_;
+    solver_opts.cancel = options_.cancel.get();
+    solver_opts.obs = options_.obs;
     auto adaptive =
         symbolic::solve_flips(env_, replayed, h.last_params(), solver_opts);
     report_.solver_queries += adaptive.queries;
     report_.solver_sat += adaptive.sat;
-    report_.solver_sat_late += adaptive.sat_late;
     report_.solver_unsat += adaptive.unsat;
     report_.solver_unknown += adaptive.unknown;
     report_.solver_wall_ms += adaptive.wall_ms;

@@ -53,11 +53,6 @@ struct FuzzOptions {
   /// count_contradicted_oracles). Verdict- and fingerprint-neutral by
   /// design; the --no-static kill switch turns it off for A/B comparison.
   bool static_analysis = true;
-  /// Opt-in, NOT schedule-neutral: let pruned flips free their max_flips
-  /// slots so the budget reaches deeper taint-reachable flip targets (see
-  /// SolverOptions::pruned_flips_free_budget). Off by default.
-  bool static_prioritize = false;
-  symbolic::SolverOptions solver{};
   std::size_t max_pool_per_action = 32;
   /// Cooperative cancellation: checked at every iteration boundary
   /// and between solver queries. When it expires the loop unwinds cleanly
@@ -91,7 +86,6 @@ struct FuzzReport {
   std::size_t replay_failures = 0;
   // Solver verdict breakdown and wall time (campaign observability).
   std::size_t solver_sat = 0;
-  std::size_t solver_sat_late = 0;  // sat past the hard cap, model discarded
   std::size_t solver_unsat = 0;
   std::size_t solver_unknown = 0;
   double solver_wall_ms = 0;

@@ -95,10 +95,11 @@ std::vector<ParamValue> seed_from_model_values(
 
 }  // namespace
 
-z3::solver make_flip_solver(z3::context& ctx, unsigned timeout_ms) {
+z3::solver make_flip_solver(z3::context& ctx) {
   z3::solver solver(ctx, "QF_BV");
   z3::params p(ctx);
-  p.set("timeout", timeout_ms);
+  p.set("rlimit", kFlipRlimit);
+  p.set("ctrl_c", false);
   solver.set(p);
   return solver;
 }
@@ -110,7 +111,6 @@ AdaptiveSeeds solve_flips(Z3Env& env, const ReplayResult& replay,
   AdaptiveSeeds out;
   std::size_t flips_attempted = 0;
   const auto start = Clock::now();
-  const double hard_ms = opts.effective_hard_timeout_ms();
 
   QueryDigest digest;                   // rolling prefix digest (cache keys)
   std::vector<const z3::expr*> prefix;  // holds walked so far
@@ -138,95 +138,75 @@ AdaptiveSeeds solve_flips(Z3Env& env, const ReplayResult& replay,
   for (std::size_t k = 0; k < replay.path.size(); ++k) {
     const PathStep& step = replay.path[k];
     if (step.can_flip && step.flip) {
-      if (flips_attempted >= opts.max_flips) break;
-
-      // The per-query "timeout" parameter is only a soft limit; these
-      // wall-clock gates are what actually bound one solve_flips call.
+      if (flips_attempted >= kMaxFlips) break;
       if (opts.cancel != nullptr && opts.cancel->expired()) {
-        out.aborted = true;
-        break;
-      }
-      if (opts.wall_budget_ms != 0 && ms_since(start) >= opts.wall_budget_ms) {
         out.aborted = true;
         break;
       }
       // The static pre-analysis proved this condition cannot depend on
       // action input: no model could change the seed, so skip the query.
-      // The flip slot is still consumed (unless the opt-in prioritization
-      // knob frees it), keeping the schedule under max_flips identical
-      // with and without the gate.
+      // The flip slot is still consumed, keeping the schedule under
+      // kMaxFlips identical with and without the gate.
+      ++flips_attempted;
       if (statically_pruned(step)) {
-        if (!opts.pruned_flips_free_budget) ++flips_attempted;
         ++out.pruned;
         if (opts.obs != nullptr) opts.obs->count("solver.flips_pruned");
         push_hold(step);
         continue;
       }
-      ++flips_attempted;
 
       QueryKey key;
-      const CacheEntry* hit = nullptr;
+      const CacheEntry* entry = nullptr;  // this flip's verdict and model
       if (opts.cache != nullptr) {
         key = digest.flip_key(*step.flip);
-        hit = opts.cache->lookup(key);
+        entry = opts.cache->lookup(key);
       }
-      if (hit != nullptr) {
+      CacheEntry decided;
+      if (entry != nullptr) {
         ++out.cache_hits;
         if (opts.obs != nullptr) opts.obs->count("solver.cache_hits");
-        if (hit->verdict == CachedVerdict::Sat) {
-          ++out.sat;
-          out.seeds.push_back(
-              seed_from_model_values(seed_params, replay.bindings,
-                                     hit->model));
-        } else {
-          ++out.unsat;
-        }
       } else {
         if (opts.cache != nullptr) ++out.cache_misses;
         ++out.queries;
 
         const auto query_begin = Clock::now();
         // Path prefix must stay feasible (§3.4.4: AND of prior constraints).
-        z3::solver solver = make_flip_solver(env.ctx(), opts.timeout_ms);
+        z3::solver solver = make_flip_solver(env.ctx());
         for (const z3::expr* hold : prefix) solver.add(*hold);
         solver.add(*step.flip);
-        const auto check_start = Clock::now();
         const z3::check_result verdict = solver.check();
-        const bool overshoot = ms_since(check_start) > hard_ms;
         if (opts.obs != nullptr) {
           opts.obs->count("solver.queries");
           opts.obs->latency_us("solver.query_us",
                                ms_since(query_begin) * 1000.0);
         }
-        if (overshoot) {
-          // Z3 overshot its soft timeout badly enough that the result is no
-          // longer worth the budget it consumed. The model (if any) is
-          // discarded so the seed stream stays timing-independent, and the
-          // outcome is never cached — see SolverOptions::hard_timeout_ms
-          // for the sat_late/unknown split.
-          if (verdict == z3::sat) {
-            ++out.sat_late;
-          } else {
-            ++out.unknown;
-          }
-        } else if (verdict == z3::sat) {
-          ModelValues model = extract_model_values(solver.get_model());
-          ++out.sat;
-          out.seeds.push_back(
-              seed_from_model_values(seed_params, replay.bindings, model));
-          if (opts.cache != nullptr) {
-            opts.cache->insert(key, query_asts(*step.flip), CachedVerdict::Sat,
-                               std::move(model));
-          }
-        } else if (verdict == z3::unsat) {
-          ++out.unsat;
-          if (opts.cache != nullptr) {
-            opts.cache->insert(key, query_asts(*step.flip),
-                               CachedVerdict::Unsat);
-          }
+        if (verdict == z3::sat) {
+          decided = {CachedVerdict::Sat,
+                     extract_model_values(solver.get_model())};
         } else {
-          ++out.unknown;
+          // Unknown means out of budget, which is as reproducible as unsat.
+          decided.verdict = verdict == z3::unsat ? CachedVerdict::Unsat
+                                                 : CachedVerdict::Unknown;
         }
+        entry = &decided;
+        if (opts.cache != nullptr) {
+          entry = &opts.cache->insert(key, query_asts(*step.flip),
+                                      decided.verdict,
+                                      std::move(decided.model));
+        }
+      }
+      switch (entry->verdict) {
+        case CachedVerdict::Sat:
+          ++out.sat;
+          out.seeds.push_back(seed_from_model_values(
+              seed_params, replay.bindings, entry->model));
+          break;
+        case CachedVerdict::Unsat:
+          ++out.unsat;
+          break;
+        case CachedVerdict::Unknown:
+          ++out.unknown;
+          break;
       }
     }
     push_hold(step);

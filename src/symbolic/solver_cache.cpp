@@ -26,15 +26,17 @@ const CacheEntry* SolverCache::lookup(const QueryKey& key) {
   return &it->second.entry;
 }
 
-void SolverCache::insert(const QueryKey& key, std::vector<z3::expr> pins,
-                         CachedVerdict verdict, ModelValues model) {
+const CacheEntry& SolverCache::insert(const QueryKey& key,
+                                     std::vector<z3::expr> pins,
+                                     CachedVerdict verdict,
+                                     ModelValues model) {
   const auto it = map_.find(key.primary);
   if (it != map_.end()) {
     it->second.key = key;
     it->second.entry = CacheEntry{verdict, std::move(model)};
     it->second.pins = std::move(pins);
     lru_.splice(lru_.begin(), lru_, it->second.lru);
-    return;
+    return it->second.entry;
   }
   if (map_.size() >= capacity_) {
     const std::uint64_t victim = lru_.back();
@@ -43,10 +45,13 @@ void SolverCache::insert(const QueryKey& key, std::vector<z3::expr> pins,
     ++stats_.evictions;
   }
   lru_.push_front(key.primary);
-  map_.emplace(key.primary, Slot{key, CacheEntry{verdict, std::move(model)},
-                                 std::move(pins), lru_.begin()});
+  const auto slot =
+      map_.emplace(key.primary, Slot{key, CacheEntry{verdict, std::move(model)},
+                                     std::move(pins), lru_.begin()})
+          .first;
   ++stats_.insertions;
   stats_.entries = map_.size();
+  return slot->second.entry;
 }
 
 }  // namespace wasai::symbolic

@@ -74,7 +74,7 @@ class QueryDigest {
   }
 };
 
-enum class CachedVerdict : std::uint8_t { Sat, Unsat };
+enum class CachedVerdict : std::uint8_t { Sat, Unsat, Unknown };
 
 struct CacheEntry {
   CachedVerdict verdict = CachedVerdict::Unsat;
@@ -89,10 +89,10 @@ struct SolverCacheStats {
   std::size_t entries = 0;
 };
 
-/// Bounded LRU map from query key to solved verdict + model. One instance
-/// per Fuzzer (one Z3Env), destroyed before that context; NOT
-/// thread-safe. Only Sat and Unsat verdicts are cached: unknown and
-/// overshoot outcomes are timing artifacts that a later attempt may decide.
+/// Bounded LRU map from query key to verdict + model. One instance per
+/// Fuzzer (one Z3Env), destroyed before that context; NOT thread-safe.
+/// Unknown is cached like unsat: every check runs under the same fixed
+/// resource budget, so a repeat of an unknown query is unknown again.
 class SolverCache {
  public:
   explicit SolverCache(std::size_t capacity = 4096)
@@ -106,9 +106,9 @@ class SolverCache {
   /// capacity. `pins` are the ASTs the key was digested from (prefix holds
   /// and flip); the entry keeps them alive so their ids stay theirs (see
   /// the determinism note). Re-inserting an existing key refreshes value,
-  /// pins and position.
-  void insert(const QueryKey& key, std::vector<z3::expr> pins,
-              CachedVerdict verdict, ModelValues model = {});
+  /// pins and position. Returns the stored entry.
+  const CacheEntry& insert(const QueryKey& key, std::vector<z3::expr> pins,
+                           CachedVerdict verdict, ModelValues model = {});
 
   [[nodiscard]] const SolverCacheStats& stats() const { return stats_; }
   [[nodiscard]] std::size_t size() const { return map_.size(); }

@@ -523,7 +523,9 @@ TEST(Campaign, RecordsWithLaneCountsStillParseAndResume) {
   EXPECT_EQ(state.kept_lines[0], old_line);
   EXPECT_EQ(state.skip_digests.count(old.digest), 1u);
 
-  // New records emit neither key.
+  // New records emit none of the lane keys, and their solver block holds
+  // only the verdicts a fixed resource budget can produce: the old line's
+  // late-sat count is gone.
   Rng rng(11);
   const auto sample = corpus::make_fake_eos_sample(rng, true);
   CampaignRunner runner(quick_options());
@@ -532,6 +534,16 @@ TEST(Campaign, RecordsWithLaneCountsStillParseAndResume) {
   const auto fresh = record_to_json(report.records[0]);
   EXPECT_EQ(fresh.find("fuzz_shards"), nullptr);
   EXPECT_EQ(fresh.find("shard_transactions"), nullptr);
+  const util::Json* solver = fresh.find("solver");
+  ASSERT_NE(solver, nullptr);
+  std::vector<std::string> solver_keys;
+  for (const auto& entry : solver->as_object()) {
+    solver_keys.push_back(entry.first);
+  }
+  EXPECT_EQ(solver_keys,
+            (std::vector<std::string>{"cache_evictions", "cache_hits",
+                                      "cache_misses", "queries", "sat",
+                                      "unknown", "unsat"}));
 }
 
 TEST(Campaign, ResumeAfterTornStreamMergesWithoutReanalysis) {

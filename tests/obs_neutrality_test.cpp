@@ -65,7 +65,6 @@ std::string report_fingerprint(const engine::FuzzReport& r) {
   add(r.replays);
   add(r.replay_failures);
   add(r.solver_sat);
-  add(r.solver_sat_late);
   add(r.solver_unsat);
   add(r.solver_unknown);
   add(r.solver_cache_hits);

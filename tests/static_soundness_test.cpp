@@ -7,12 +7,6 @@
 // families (vulnerable and safe variants), plus the oracle-gate tripwire:
 // a finding fired against a statically "impossible" verdict is a
 // conservatism-contract bug even when the fingerprints agree.
-//
-// A Z3 query sitting on its soft timeout can flip verdict run to run with
-// the static pass off too, shifting the adaptive-seed count without any
-// gating bug. Each A/B pair therefore retries a few times and only a
-// divergence that survives every attempt fails (a wrong prune is
-// deterministic — it diverges on all of them).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -70,20 +64,14 @@ Outcome run_once(const util::Bytes& wasm_bytes, const abi::Abi& contract_abi,
   return out;
 }
 
-/// One contract's A/B check, flake-tolerant as described in the header.
+/// One contract's A/B check.
 void expect_neutral(const util::Bytes& wasm_bytes,
                     const abi::Abi& contract_abi, const std::string& label) {
-  constexpr int kAttempts = 3;
-  Outcome on;
-  Outcome off;
-  for (int attempt = 0; attempt < kAttempts; ++attempt) {
-    on = run_once(wasm_bytes, contract_abi, /*static_analysis=*/true);
-    off = run_once(wasm_bytes, contract_abi, /*static_analysis=*/false);
-    // The tripwire is charged immediately: a gated oracle that fired is a
-    // soundness bug regardless of solver timing.
-    ASSERT_EQ(on.gate_violations, 0u) << label;
-    if (on.fingerprint == off.fingerprint) break;
-  }
+  const Outcome on =
+      run_once(wasm_bytes, contract_abi, /*static_analysis=*/true);
+  const Outcome off =
+      run_once(wasm_bytes, contract_abi, /*static_analysis=*/false);
+  EXPECT_EQ(on.gate_violations, 0u) << label;
   EXPECT_EQ(on.fingerprint, off.fingerprint) << label;
   // The run with the pass disabled must not carry a report (schema parity
   // for the campaign JSONL), the enabled run must.

@@ -3,6 +3,9 @@
 // through instrumented SDK-shaped contracts running on the local chain.
 #include <gtest/gtest.h>
 
+#include <csignal>
+#include <thread>
+
 #include "abi/serializer.hpp"
 #include "baselines/eosafe_memory.hpp"
 #include "chain/controller.hpp"
@@ -217,8 +220,7 @@ TEST(SymOps, IntegerFoldsMatchZ3Simplify) {
       const z3::expr x = env.var("x", bits);
       const z3::expr y = env.var("y", bits);
       const SymValue term = sym_binary(env, op, {t, x}, {t, y});
-      z3::solver solver =
-          make_flip_solver(env.ctx(), SolverOptions{}.timeout_ms);
+      z3::solver solver = make_flip_solver(env.ctx());
       SolvedCases cases;
       for (const std::uint64_t a : values) {
         for (const std::uint64_t b : values) {
@@ -245,8 +247,7 @@ TEST(SymOps, IntegerFoldsMatchZ3Simplify) {
       if (width_of(info.operand) != bits) continue;
       const z3::expr x = env.var("x", bits);
       const SymValue term = sym_unary(env, op, {info.operand, x});
-      z3::solver solver =
-          make_flip_solver(env.ctx(), SolverOptions{}.timeout_ms);
+      z3::solver solver = make_flip_solver(env.ctx());
       SolvedCases cases;
       for (const std::uint64_t a : values) {
         const SymValue got = sym_unary(env, op, {info.operand, a});
@@ -591,7 +592,7 @@ TEST(Solver, CancelledTokenAbortsBeforeAnyQuery) {
   EXPECT_TRUE(aborted.seeds.empty());
 }
 
-TEST(Solver, ReportsWallTimeAndRespectsWallBudget) {
+TEST(Solver, ReportsWallTimeAndPartitionsVerdicts) {
   ContractBuilder probe;
   ReplayFixture fx(amount_eq_branch_body(probe.env()));
   const auto& trace = fx.run(default_seed(5));
@@ -600,19 +601,9 @@ TEST(Solver, ReportsWallTimeAndRespectsWallBudget) {
   const auto normal = solve_flips(fx.env_, r, fx.last_params_);
   EXPECT_GT(normal.wall_ms, 0.0);
   EXPECT_FALSE(normal.aborted);
-
-  // A wall budget that is already exhausted by the time the first flip is
-  // considered cannot issue queries... but 0 means "unlimited", so use an
-  // expired cancel token via with_deadline to emulate the exhausted case
-  // and a tiny-but-nonzero budget to exercise the branch.
-  SolverOptions opts;
-  opts.wall_budget_ms = 1;
-  const auto budgeted = solve_flips(fx.env_, r, fx.last_params_, opts);
-  // One flip target: either it ran inside the budget or the call aborted —
-  // both are legal; what matters is that accounting stays consistent
-  // (sat_late counts sat verdicts past the hard cap, models discarded).
-  EXPECT_EQ(budgeted.queries, budgeted.sat + budgeted.sat_late +
-                                  budgeted.unsat + budgeted.unknown);
+  EXPECT_GT(normal.queries, 0u);
+  // Without a cache every attempted flip is one Z3 query with one verdict.
+  EXPECT_EQ(normal.queries, normal.sat + normal.unsat + normal.unknown);
 }
 
 // Three flippable branches over different parameters, so the solver emits
@@ -676,6 +667,76 @@ TEST(Solver, CachedRerunAnswersEveryFlipWithoutZ3) {
   expect_same_seeds(second, first, "second cached vs first");
   EXPECT_EQ(cache.stats().hits, second.cache_hits);
   EXPECT_EQ(cache.stats().entries, first.queries);
+}
+
+/// A replay whose path is one flippable branch: `flip` and nothing else.
+ReplayResult one_flip(const z3::expr& flip) {
+  ReplayResult r;
+  PathStep step{};
+  step.can_flip = true;
+  step.flip = flip;
+  r.path.push_back(std::move(step));
+  return r;
+}
+
+TEST(Solver, BudgetExhaustedFlipIsUnknownEveryRunAndCached) {
+  // Factoring the product of the two largest 32-bit primes: far beyond
+  // kFlipRlimit. The budget counts Z3's work, not wall time, so the
+  // verdict is unknown on every run and the cache keeps it like unsat.
+  Z3Env env;
+  const z3::expr x = env.var("x", 32);
+  const z3::expr y = env.var("y", 32);
+  const std::uint64_t product = 4294967291ull * 4294967279ull;
+  const ReplayResult r =
+      one_flip(z3::zext(x, 32) * z3::zext(y, 32) == env.bv(product, 64) &&
+               z3::ugt(x, env.bv(1, 32)) && z3::ugt(y, env.bv(1, 32)));
+  const std::vector<ParamValue> no_params;
+
+  const auto uncached = solve_flips(env, r, no_params);
+  EXPECT_EQ(uncached.queries, 1u);
+  EXPECT_EQ(uncached.unknown, 1u);
+
+  SolverCache cache(8);
+  SolverOptions opts;
+  opts.cache = &cache;
+  const auto first = solve_flips(env, r, no_params, opts);
+  EXPECT_EQ(first.queries, 1u);
+  EXPECT_EQ(first.unknown, 1u);
+
+  const auto second = solve_flips(env, r, no_params, opts);
+  EXPECT_EQ(second.queries, 0u);  // answered by the cache
+  EXPECT_EQ(second.cache_hits, 1u);
+  EXPECT_EQ(second.unknown, 1u);
+  EXPECT_TRUE(second.seeds.empty());
+}
+
+void on_sigint(int /*signal*/) {}
+
+TEST(Solver, ConcurrentFlipSolvingKeepsTheSigintHandler) {
+  // Z3's default check installs its own SIGINT handler and puts back the
+  // one it found when it returns. Checks on concurrent threads interleave
+  // those swaps and can leave Z3's handler installed, which turns off a
+  // campaign's drain-on-SIGINT. Flip checks must leave SIGINT alone.
+  struct sigaction ours {};
+  ours.sa_handler = on_sigint;
+  sigemptyset(&ours.sa_mask);
+  struct sigaction saved {};
+  ASSERT_EQ(sigaction(SIGINT, &ours, &saved), 0);
+
+  std::vector<std::thread> workers;
+  for (int t = 0; t < 4; ++t) {
+    workers.emplace_back([] {
+      Z3Env env;
+      const ReplayResult r = one_flip(env.var("x", 64) == env.bv(1337, 64));
+      for (int i = 0; i < 200; ++i) solve_flips(env, r, {});
+    });
+  }
+  for (auto& worker : workers) worker.join();
+
+  struct sigaction now {};
+  ASSERT_EQ(sigaction(SIGINT, nullptr, &now), 0);
+  ASSERT_EQ(sigaction(SIGINT, &saved, nullptr), 0);
+  EXPECT_EQ(now.sa_handler, &on_sigint);
 }
 
 // ------------------------------------------------------------ term lifetime

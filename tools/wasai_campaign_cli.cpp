@@ -19,9 +19,6 @@
 //   --no-fastpath     legacy VM interpreter (A/B perf baseline)
 //   --no-static       disable the static pre-analysis pass (per-record
 //                     `static` blocks disappear; findings are identical)
-//   --static-prioritize
-//                     statically pruned flips free their budget slots
-//                     (opt-in: changes the flip schedule)
 //   --out FILE        JSONL records destination (default: stdout)
 //   --resume FILE     checkpoint/resume: parse FILE as a previous run's
 //                     record stream (tolerating a torn final line), skip
@@ -89,7 +86,7 @@ int usage() {
       "  wasai-campaign run <corpus-dir> [--jobs N] [--iterations N]\n"
       "        [--seed N] [--deadline-ms N] [--hung-grace N] [--retries N]\n"
       "        [--no-solver-cache] [--solver-cache-capacity N]\n"
-      "        [--no-fastpath] [--no-static] [--static-prioritize]\n"
+      "        [--no-fastpath] [--no-static]\n"
       "        [--out FILE] [--resume FILE] [--summary FILE]\n"
       "        [--findings-only] [--trace-out FILE] [--no-obs]\n"
       "  wasai-campaign check-trace <trace.json>\n");
@@ -130,8 +127,6 @@ int cmd_run(int argc, char** argv) {
       options.fuzz.vm_fastpath = false;
     } else if (arg == "--no-static") {
       options.fuzz.static_analysis = false;
-    } else if (arg == "--static-prioritize") {
-      options.fuzz.static_prioritize = true;
     } else if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
     } else if (arg == "--resume" && i + 1 < argc) {

@@ -16,9 +16,6 @@
 //   --no-static          disable the static pre-analysis pass (flip-query
 //                        pruning + oracle verdicts off; verdicts and the
 //                        fingerprint are identical either way — A/B switch)
-//   --static-prioritize  let statically pruned flips free their budget
-//                        slots so deeper taint-reachable flips are reached
-//                        (opt-in: changes the flip schedule)
 //   --address-pool       enable the dynamic sender pool extension
 //   --trace-out FILE     save the final campaign's traces (§3.3.1 format)
 //   --obs-trace FILE     save a Chrome trace-event JSON of the analysis
@@ -69,8 +66,7 @@ int usage() {
       "  wasai analyze <contract.wasm> <contract.abi> [--iterations N]\n"
       "        [--seed N] [--no-feedback] [--no-solver-cache]\n"
       "        [--solver-cache-capacity N]\n"
-      "        [--no-fastpath] [--no-static]\n"
-      "        [--static-prioritize] [--address-pool]\n"
+      "        [--no-fastpath] [--no-static] [--address-pool]\n"
       "        [--trace-out FILE]\n"
       "        [--obs-trace FILE] [--no-obs]\n"
       "  wasai emit-sample <fake-eos|fake-notif|miss-auth|blockinfo|"
@@ -125,8 +121,6 @@ int cmd_analyze(int argc, char** argv) {
       options.fuzz.vm_fastpath = false;
     } else if (arg == "--no-static") {
       options.fuzz.static_analysis = false;
-    } else if (arg == "--static-prioritize") {
-      options.fuzz.static_prioritize = true;
     } else if (arg == "--address-pool") {
       options.fuzz.dynamic_address_pool = true;
     } else if (arg == "--trace-out" && i + 1 < argc) {

@@ -146,53 +146,35 @@ int cmd_check(int argc, char** argv) {
     const auto abi_bytes = read_file(input.abi_path);
     const abi::Abi contract_abi =
         abi::abi_from_json(std::string(abi_bytes.begin(), abi_bytes.end()));
-    // A wrong prune is deterministic — it diverges on every attempt. A Z3
-    // query sitting on its soft timeout is not: its verdict (and thus the
-    // adaptive-seed count) can flip run to run with the static pass off
-    // too. Retrying the A/B pair separates the two: only a divergence that
-    // survives every attempt is charged as a soundness violation.
-    constexpr int kAttempts = 3;
     RunOutcome gated;
     RunOutcome plain;
-    bool agreed = false;
-    bool skipped = false;
-    for (int attempt = 0; attempt < kAttempts && !agreed; ++attempt) {
-      try {
-        gated = run_one(wasm_bytes, contract_abi, /*static_analysis=*/true,
-                        iterations, seed);
-        plain = run_one(wasm_bytes, contract_abi, /*static_analysis=*/false,
-                        iterations, seed);
-      } catch (const util::Error& e) {
-        // Contracts the pipeline rejects outright (bad wasm, no apply)
-        // teach the soundness gate nothing; skip, matching the campaign's
-        // per-contract fault isolation.
-        std::printf("  skip %s: %s\n", input.id.c_str(), e.what());
-        skipped = true;
-        break;
-      }
-      if (gated.gate_violations != 0) {
-        ++violations;
-        std::printf("SOUNDNESS VIOLATION %s: %zu findings fired against a "
-                    "statically impossible verdict\n",
-                    input.id.c_str(), gated.gate_violations);
-        skipped = true;  // charged already; no A/B retry needed
-        break;
-      }
-      agreed = gated.agrees(plain);
-      if (!agreed && attempt + 1 < kAttempts) {
-        std::printf("  retry %s: static on/off diverged (solver timing?)\n",
-                    input.id.c_str());
-      }
+    try {
+      gated = run_one(wasm_bytes, contract_abi, /*static_analysis=*/true,
+                      iterations, seed);
+      plain = run_one(wasm_bytes, contract_abi, /*static_analysis=*/false,
+                      iterations, seed);
+    } catch (const util::Error& e) {
+      // Contracts the pipeline rejects outright (bad wasm, no apply)
+      // teach the soundness gate nothing; skip, matching the campaign's
+      // per-contract fault isolation.
+      std::printf("  skip %s: %s\n", input.id.c_str(), e.what());
+      continue;
     }
-    if (skipped) continue;
+    if (gated.gate_violations != 0) {
+      ++violations;
+      std::printf("SOUNDNESS VIOLATION %s: %zu findings fired against a "
+                  "statically impossible verdict\n",
+                  input.id.c_str(), gated.gate_violations);
+      continue;
+    }
     total_pruned += gated.flips_pruned;
     total_replays_skipped += gated.replays_skipped;
-    if (!agreed) {
+    if (!gated.agrees(plain)) {
       ++violations;
       std::printf(
-          "SOUNDNESS VIOLATION %s: static on/off diverged on every attempt "
-          "(seeds %zu/%zu, branches %zu/%zu, txns %zu/%zu, findings "
-          "\"%s\"/\"%s\", trace %016llx/%016llx)\n",
+          "SOUNDNESS VIOLATION %s: static on/off diverged (seeds %zu/%zu, "
+          "branches %zu/%zu, txns %zu/%zu, findings \"%s\"/\"%s\", trace "
+          "%016llx/%016llx)\n",
           input.id.c_str(), gated.adaptive_seeds, plain.adaptive_seeds,
           gated.distinct_branches, plain.distinct_branches,
           gated.transactions, plain.transactions, gated.findings.c_str(),
