@@ -91,8 +91,9 @@ struct SolverCacheStats {
 
 /// Bounded LRU map from query key to verdict + model. One instance per
 /// Fuzzer (one Z3Env), destroyed before that context; NOT thread-safe.
-/// Unknown is cached like unsat: every check runs under the same fixed
-/// resource budget, so a repeat of an unknown query is unknown again.
+/// Unknown is cached like unsat: under a fixed resource budget it is as
+/// reproducible as the other verdicts, and asking again would cost the
+/// whole budget.
 class SolverCache {
  public:
   explicit SolverCache(std::size_t capacity = 4096)
