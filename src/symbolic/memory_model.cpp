@@ -21,7 +21,7 @@ void MemoryModel::store(std::uint64_t addr, const SymValue& value,
                          ? z3::zext(v, size_bytes * 8 - have)
                          : v;
   for (unsigned i = 0; i < size_bytes; ++i) {
-    const z3::expr byte = e.extract(i * 8 + 7, i * 8).simplify();
+    const z3::expr byte = extract_simplified(e, i * 8 + 7, i * 8);
     SymByte b;
     if (byte.is_numeral()) {
       b.value = static_cast<std::uint8_t>(byte.get_numeral_uint64());
@@ -102,6 +102,14 @@ bool has_variables(const z3::expr& e) {
     if (has_variables(e.arg(i))) return true;
   }
   return false;
+}
+
+z3::expr extract_simplified(const z3::expr& e, unsigned hi, unsigned lo) {
+  const z3::expr part = e.extract(hi, lo);
+  const bool bare_variable =
+      e.is_const() && e.decl().decl_kind() == Z3_OP_UNINTERPRETED;
+  if (bare_variable && hi - lo + 1 < e.get_sort().bv_size()) return part;
+  return part.simplify();
 }
 
 }  // namespace wasai::symbolic

@@ -72,7 +72,7 @@ SymValue sym_unary(Z3Env& env, Opcode op, const SymValue& x) {
       return {ValType::I32,
               env.bool_to_bv32(e == env.bv(0, x.bits())).simplify()};
     case Opcode::I32WrapI64:
-      return {ValType::I32, e.extract(31, 0).simplify()};
+      return {ValType::I32, extract_simplified(e, 31, 0)};
     case Opcode::I64ExtendI32S:
       return {ValType::I64, z3::sext(e, 32).simplify()};
     case Opcode::I64ExtendI32U:

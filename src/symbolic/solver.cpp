@@ -96,7 +96,7 @@ std::vector<ParamValue> seed_from_model_values(
 }  // namespace
 
 z3::solver make_flip_solver(z3::context& ctx) {
-  z3::solver solver(ctx, "QF_BV");
+  z3::solver solver = z3::tactic(ctx, "smt").mk_solver();
   z3::params p(ctx);
   p.set("rlimit", kFlipRlimit);
   p.set("ctrl_c", false);

@@ -2,13 +2,23 @@
 // conditional state, conjoin the path prefix, and ask Z3 for a model —
 // each model becomes an adaptive seed.
 //
-// One serial path: every flip is decided by a fresh QF_BV solver
-// (make_flip_solver) in the replay's own Z3 context, which re-asserts the
-// path prefix and the flip. Every replayed term is a bitvector, so QF_BV
-// is exact. The queries are tiny (a few asserts, no arrays), so their cost
-// is set-up: a QF_BV solver in a live context answers in about a
-// millisecond, where a fresh context, SMT-LIB2 parsing and Z3's default
-// solver combination cost about ten times that.
+// One serial path: every flip is decided by a fresh solver built from Z3's
+// SMT core, the `smt` tactic (make_flip_solver), in the replay's own Z3
+// context, which re-asserts the path prefix and the flip. The queries are
+// tiny: a few ite/extract comparisons over one to three parameters, no
+// arrays. Their cost is the solver's fixed cost, so the engine is the one
+// with the least. The 320 queries of one templates-serial pass (perfbench,
+// seed 7), replayed with a fresh context per three queries, gave the same
+// verdict on every query under every engine. Mean time per query over
+// seven repeats (Release, Z3 4.8.12; in each repeat the SMT core took
+// 0.38-0.45x the time of the QF_BV solver):
+//   - `smt` tactic:                        0.74-0.99 ms (p90 1.15-1.34 ms)
+//   - z3::solver::simple():                0.77-1.11 ms
+//   - bare `qfbv` tactic:                  1.61-1.98 ms
+//   - z3::solver(ctx, "QF_BV") (previous): 1.80-2.24 ms (p90 4.8-5.8 ms)
+// The QF_BV solver and the `qfbv` tactic also allocate a spare 8,519,688-
+// byte block on 49 of those 320 checks, which set the fuzzer's peak
+// memory; the SMT core allocates none.
 //
 // Why not push/pop: a walker solver that asserts each hold once and checks
 // every flip inside a push() scope saves only the O(path²) re-assertions,
@@ -34,10 +44,10 @@
 namespace wasai::symbolic {
 
 /// Z3 resource units (`rlimit`) one flip check may spend before it answers
-/// unknown. Calibrated in DESIGN.md, "Determinism": about twice the largest
-/// query seen on four 100-module testgen batches, 800x the largest on the
-/// template corpus.
-inline constexpr unsigned kFlipRlimit = 2'000'000;
+/// unknown. Calibrated for the SMT core in DESIGN.md, "Determinism": about
+/// twice the largest query seen on four 100-module testgen batches
+/// (2,260,628 units), 2,700x the largest on the template corpus.
+inline constexpr unsigned kFlipRlimit = 5'000'000;
 /// Cap on flip targets per executed seed.
 inline constexpr std::size_t kMaxFlips = 24;
 
@@ -83,10 +93,14 @@ struct AdaptiveSeeds {
   bool aborted = false;  // stopped early by cancellation
 };
 
-/// The solver solve_flips decides each flip with: a fresh QF_BV solver in
-/// `ctx` limited to kFlipRlimit. It leaves SIGINT alone: Z3's default
-/// swaps in its own handler around every check, and checks on concurrent
-/// threads interleave that swap and lose the process's handler.
+/// The solver solve_flips decides each flip with: a fresh solver from Z3's
+/// SMT core (the `smt` tactic) in `ctx`, limited to kFlipRlimit. On
+/// templates-serial a query (build, assert, check) takes about 0.8 ms p50
+/// and 1.5-1.7 ms p90, where the QF_BV solver took 1.6 ms and 5.6 ms, and
+/// it allocates no spare 8.5 MB block
+/// (Solver.FlipCheckKeepsZ3PeakMemoryFlat). It leaves SIGINT alone: Z3's
+/// default swaps in its own handler around every check, and checks on
+/// concurrent threads interleave that swap and lose the process's handler.
 z3::solver make_flip_solver(z3::context& ctx);
 
 /// Solve every flippable conditional of `replay` against the path prefix,

@@ -138,4 +138,9 @@ inline SymValue lift(const vm::Value& v) { return SymValue{v.type, v.bits}; }
 /// depends on symbolic input or unknown memory).
 bool has_variables(const z3::expr& e);
 
+/// Bits [hi, lo] of `e`, simplified. Z3's simplify returns a partial extract
+/// of a bare variable as it is, so that case skips the call; every other
+/// extract is simplified (a full-width one of a variable to the variable).
+z3::expr extract_simplified(const z3::expr& e, unsigned hi, unsigned lo);
+
 }  // namespace wasai::symbolic

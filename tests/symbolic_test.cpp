@@ -132,8 +132,9 @@ bool in_qf_bv(const z3::expr& e) {
 // path builds for the same operands, so folding changes no constraint. That
 // includes the inputs where Wasm traps but SMT-LIB defines a value: zero
 // divisors, INT_MIN / -1, and shift counts of at least the width. The same
-// terms must lie in QF_BV, the logic solve_flips fixes, and the solver it
-// decides flips with must reproduce the folded value.
+// terms must lie in QF_BV (solve_flips no longer fixes the logic, but every
+// flip query is built from such terms), and the solver it decides flips
+// with must reproduce the folded value.
 TEST(SymOps, IntegerFoldsMatchZ3Simplify) {
   Z3Env env;
   util::Rng rng(5);
@@ -270,6 +271,26 @@ TEST(SymOps, IntegerFoldsMatchZ3Simplify) {
         ASSERT_EQ(*got.concrete(),
                   vm::eval_unary_op(op, vm::Value{info.operand, a}).bits)
             << info.name << " x=" << a;
+      }
+    }
+  }
+}
+
+// extract_simplified skips simplify() on a partial extract of a bare
+// variable, which memory stores and i32.wrap_i64 build for every symbolic
+// parameter. That is only sound while Z3 returns such an extract as it is.
+TEST(SymOps, PartialExtractOfAVariableSimplifiesToItself) {
+  Z3Env env;
+  for (const unsigned bits : {8u, 16u, 32u, 64u}) {
+    const z3::expr v = env.var("v" + std::to_string(bits), bits);
+    for (unsigned lo = 0; lo < bits; ++lo) {
+      for (unsigned hi = lo; hi < bits; ++hi) {
+        const z3::expr part = v.extract(hi, lo);
+        const z3::expr simplified = part.simplify();
+        const bool full_width = hi - lo + 1 == bits;
+        EXPECT_TRUE(z3::eq(simplified, full_width ? v : part)) << part;
+        EXPECT_TRUE(z3::eq(extract_simplified(v, hi, lo), simplified))
+            << part;
       }
     }
   }
@@ -680,16 +701,18 @@ ReplayResult one_flip(const z3::expr& flip) {
 }
 
 TEST(Solver, BudgetExhaustedFlipIsUnknownEveryRunAndCached) {
-  // Factoring the product of the two largest 32-bit primes: far beyond
-  // kFlipRlimit. The budget counts Z3's work, not wall time, so the
-  // verdict is unknown on every run and the cache keeps it like unsat.
+  // Factoring the product of the two largest 64-bit primes, 2^64-59 and
+  // 2^64-83: far beyond kFlipRlimit. The budget counts Z3's work, not wall
+  // time, so the verdict is unknown on every run and the cache keeps it
+  // like unsat.
   Z3Env env;
-  const z3::expr x = env.var("x", 32);
-  const z3::expr y = env.var("y", 32);
-  const std::uint64_t product = 4294967291ull * 4294967279ull;
+  const z3::expr x = env.var("x", 64);
+  const z3::expr y = env.var("y", 64);
+  const z3::expr product =
+      env.ctx().bv_val("340282366920938460843936948965011886881", 128);
   const ReplayResult r =
-      one_flip(z3::zext(x, 32) * z3::zext(y, 32) == env.bv(product, 64) &&
-               z3::ugt(x, env.bv(1, 32)) && z3::ugt(y, env.bv(1, 32)));
+      one_flip(z3::zext(x, 64) * z3::zext(y, 64) == product &&
+               z3::ugt(x, env.bv(1, 64)) && z3::ugt(y, env.bv(1, 64)));
   const std::vector<ParamValue> no_params;
 
   const auto uncached = solve_flips(env, r, no_params);
@@ -708,6 +731,39 @@ TEST(Solver, BudgetExhaustedFlipIsUnknownEveryRunAndCached) {
   EXPECT_EQ(second.cache_hits, 1u);
   EXPECT_EQ(second.unknown, 1u);
   EXPECT_TRUE(second.seeds.empty());
+}
+
+/// Z3's process-wide allocation high-water mark in MB, as its statistics
+/// report it.
+double z3_max_memory_mb(const z3::solver& solver) {
+  const z3::stats stats = solver.statistics();
+  for (unsigned i = 0; i < stats.size(); ++i) {
+    if (stats.key(i) == "max memory") return stats.double_value(i);
+  }
+  ADD_FAILURE() << "Z3 reports no max memory statistic";
+  return 0;
+}
+
+TEST(Solver, FlipCheckKeepsZ3PeakMemoryFlat) {
+  // A QF_BV solver allocates a spare 8,519,688-byte block on 49 of the 320
+  // flip checks of a templates pass, and that block sets the fuzzer's peak
+  // memory. A flip check must leave Z3's high-water mark where the context
+  // put it. The mark is per process, and ctest runs each test in its own.
+  // The query is a template contract's `p2_amount` flip.
+  Z3Env env;
+  const z3::expr amount = env.var("p2_amount", 64);
+  z3::solver solver = make_flip_solver(env.ctx());
+  const double before = z3_max_memory_mb(solver);
+  const z3::expr hold = env.bool_to_bv32(z3::sle(env.bv(100000, 64), amount));
+  const z3::expr flip = z3::ite(z3::sle(amount, env.bv(4765133750, 64)),
+                                env.bv(0, 32), env.bv(1, 32));
+  solver.add(env.truthy(hold));
+  solver.add(env.truthy(flip));
+  ASSERT_EQ(solver.check(), z3::sat);
+  const double grown_mb = z3_max_memory_mb(solver) - before;
+  RecordProperty("z3_max_memory_growth_kb",
+                 std::to_string(static_cast<int>(grown_mb * 1024)));
+  EXPECT_LT(grown_mb, 2.0) << "Z3 peak memory grew by " << grown_mb << " MB";
 }
 
 void on_sigint(int /*signal*/) {}
